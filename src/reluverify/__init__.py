@@ -10,7 +10,15 @@ from .abstraction import (
     merge_pair,
     refine_split,
 )
-from .bounds import BoundMethod, BoundsMap, SymbolicBoundsMap, ibp, output_gap, sbt
+from .bounds import (
+    BoundMethod,
+    BoundsMap,
+    SymbolicBoundsMap,
+    ibp,
+    output_gap,
+    sbt,
+    tighten_property,
+)
 from .categorize import Category, CategorizedNetwork, Direction, Sign, preprocess
 from .formats import (
     FormatError,
@@ -27,7 +35,7 @@ from .harness import (
     reduce_to_single_output,
     run_bench,
 )
-from .loop import RunStats, verify, verify_cegar, verify_cegarette, verify_direct
+from .loop import MODES, RunStats, verify, verify_cegar, verify_cegarette, verify_direct
 from .network import (
     InputBox,
     Layer,
@@ -38,7 +46,6 @@ from .network import (
     evaluate,
 )
 from .solver import Status, Verdict, solve
-from .tightening import tighten_property
 
 __version__ = "0.1.0"
 
@@ -54,6 +61,7 @@ __all__ = [
     "FormatError",
     "InputBox",
     "Layer",
+    "MODES",
     "Network",
     "OutputProperty",
     "Query",

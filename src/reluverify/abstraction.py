@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categorize import CategorizedNetwork, Direction
-from .network import Layer, Network, evaluate
+from .network import Layer, Network, hidden_values
 
 Groups = tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -166,13 +166,8 @@ def _split_scores(state: AbstractionState, x0: np.ndarray):
     member's outgoing contribution at ``x0``: sum over outgoing edges of
     |w * v_member - w * v_group|."""
     base_net = state.base.network
-    v_base = state.base.hidden_values(x0)
-
-    v_abs = []
-    v = np.asarray(x0, dtype=np.float64)
-    for layer in state.network.layers[:-1]:
-        v = np.maximum(layer.weights @ v + layer.biases, 0.0)
-        v_abs.append(v)
+    v_base = hidden_values(base_net, x0)
+    v_abs = hidden_values(state.network, x0)
 
     out = []
     for k, layer_groups in enumerate(state.groups):
@@ -222,12 +217,3 @@ def refine_split(state: AbstractionState, x0, k: int = 1) -> AbstractionState:
         groups.append(new_layer)
     return _make_state(state.base, groups, state.nonneg_inputs)
 
-
-def check_over_approximation(
-    state: AbstractionState, xs, slack: float = 1e-9
-) -> None:
-    """Assert the abstract output dominates the base output on sample inputs."""
-    for x in xs:
-        lo = evaluate(state.base.network, x)[0]
-        hi = evaluate(state.network, x)[0]
-        assert hi >= lo - slack, f"over-approximation violated at {x}: {hi} < {lo}"

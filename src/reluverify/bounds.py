@@ -1,5 +1,5 @@
-"""Sound output bounds over an input box: interval propagation and symbolic
-bound tightening.
+"""Sound output bounds over an input box (interval propagation and symbolic
+bound tightening), and the property tightening derived from them.
 
 IBP pushes concrete intervals forward layer by layer.  SBT instead carries
 one affine lower and one affine upper expression (over the raw inputs) per
@@ -7,10 +7,15 @@ neuron; stably-active ReLUs pass expressions through, stably-inactive ones
 zero them, and unstable ones fall back to [0, concrete upper].  SBT's
 concrete intervals are contained in IBP's on every neuron.
 
-Both methods tolerate an optional per-neuron phase vector (used by the
+SBT accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
 resulting bounds are then sound on the sub-region of the box where those
 phases hold.
+
+If original(x) + d <= abstract(x) on the box, then checking the abstract
+network against ``y > c + d`` over-approximates checking the original
+against ``y > c``: an UNSAT answer for the tightened query carries over.
+``output_gap`` certifies such a d and ``tighten_property`` applies it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import InputBox, Network
+from .network import InputBox, Network, OutputProperty
 
 
 class BoundMethod(str, enum.Enum):
@@ -58,27 +63,20 @@ class BoundsMap:
         }
 
 
-def ibp(net: Network, box: InputBox, phases=None) -> BoundsMap:
+def ibp(net: Network, box: InputBox) -> BoundsMap:
     """Forward interval propagation; returns sound per-neuron intervals."""
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
     lo, hi = box.lower, box.upper
     pre, post = [], []
-    for k, layer in enumerate(net.layers):
+    for layer in net.layers:
         W, b = layer.weights, layer.biases
         Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
         plo = Wp @ lo + Wn @ hi + b
         phi = Wp @ hi + Wn @ lo + b
         pre.append((plo, phi))
         if layer.relu:
-            qlo, qhi = np.maximum(plo, 0.0), np.maximum(phi, 0.0)
-            if phases is not None:
-                ph = phases[k]
-                qlo = np.where(ph == -1, 0.0, qlo)
-                qhi = np.where(ph == -1, 0.0, qhi)
-                qlo = np.where(ph == 1, np.maximum(plo, 0.0), qlo)
-                qhi = np.where(ph == 1, np.maximum(phi, 0.0), qhi)
-            lo, hi = qlo, qhi
+            lo, hi = np.maximum(plo, 0.0), np.maximum(phi, 0.0)
         else:
             lo, hi = plo, phi
         post.append((lo, hi))
@@ -87,15 +85,14 @@ def ibp(net: Network, box: InputBox, phases=None) -> BoundsMap:
 
 @dataclass(frozen=True, eq=False)
 class SymbolicBoundsMap:
-    """Affine lower/upper expressions per neuron, plus concretized intervals.
+    """Affine post-activation lower/upper expressions per neuron, plus
+    concretized intervals.
 
     Expressions are (coefficients over inputs, constant).  ``relu_modes``
     records how each hidden neuron was resolved: +1 expressions passed
     through (active), -1 zeroed (inactive), 0 relaxed (unstable).
     """
 
-    pre_lower: tuple[tuple[np.ndarray, np.ndarray], ...]
-    pre_upper: tuple[tuple[np.ndarray, np.ndarray], ...]
     post_lower: tuple[tuple[np.ndarray, np.ndarray], ...]
     post_upper: tuple[tuple[np.ndarray, np.ndarray], ...]
     relu_modes: tuple[np.ndarray, ...]
@@ -118,7 +115,7 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[SymbolicBoundsMap, Bo
     # Current post-activation expressions for the previous layer.
     Lc, Lk = np.eye(n_in), np.zeros(n_in)
     Uc, Uk = np.eye(n_in), np.zeros(n_in)
-    pre_l, pre_u, post_l, post_u, modes = [], [], [], [], []
+    post_l, post_u, modes = [], [], []
     pre_iv, post_iv = [], []
     for k, layer in enumerate(net.layers):
         W, b = layer.weights, layer.biases
@@ -126,8 +123,6 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[SymbolicBoundsMap, Bo
         pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
         pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
         plo, phi = _concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box)
-        pre_l.append((pLc, pLk))
-        pre_u.append((pUc, pUk))
         pre_iv.append((plo, phi))
         if layer.relu:
             m = W.shape[0]
@@ -156,22 +151,17 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[SymbolicBoundsMap, Bo
         post_u.append((Uc, Uk))
         post_iv.append((qlo, qhi))
     concrete = BoundsMap(box.lower, box.upper, tuple(pre_iv), tuple(post_iv))
-    sym = SymbolicBoundsMap(
-        tuple(pre_l), tuple(pre_u), tuple(post_l), tuple(post_u), tuple(modes), concrete
-    )
+    sym = SymbolicBoundsMap(tuple(post_l), tuple(post_u), tuple(modes), concrete)
     return sym, concrete
 
 
-def compute_bounds(net: Network, box: InputBox, method: BoundMethod) -> BoundsMap:
-    if method == BoundMethod.IBP:
-        return ibp(net, box)
-    if method == BoundMethod.SBT:
-        return sbt(net, box)[1]
-    raise ValueError(f"unknown bound method {method!r}")
-
-
 def output_bounds(net: Network, box: InputBox, method: BoundMethod) -> tuple[float, float]:
-    return compute_bounds(net, box, method).output_interval
+    """Sound [lo, hi] of the first output over the box: the one bound entry point."""
+    if method == BoundMethod.IBP:
+        return ibp(net, box).output_interval
+    if method == BoundMethod.SBT:
+        return sbt(net, box)[1].output_interval
+    raise ValueError(f"unknown bound method {method!r}")
 
 
 def output_gap(
@@ -190,3 +180,14 @@ def output_gap(
     l_abs = output_bounds(abstract, box, method)[0]
     u_orig = output_bounds(original, box, method)[1]
     return max(0.0, l_abs - u_orig)
+
+
+def tighten_property(
+    abstract: Network,
+    original: Network,
+    box: InputBox,
+    prop: OutputProperty,
+    method: BoundMethod = BoundMethod.SBT,
+) -> OutputProperty:
+    """Return the tightened property ``y > c + d`` with d = output_gap(...)."""
+    return OutputProperty(prop.threshold + output_gap(abstract, original, box, method))

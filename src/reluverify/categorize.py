@@ -61,18 +61,6 @@ class CategorizedNetwork:
     categories: tuple[tuple[Category, ...], ...]
     origins: tuple[tuple[int, ...], ...]
 
-    def category_of(self, layer: int, index: int) -> Category:
-        return self.categories[layer][index]
-
-    def hidden_values(self, x) -> list[np.ndarray]:
-        """Post-activation values of every hidden layer at input ``x``."""
-        v = np.asarray(x, dtype=np.float64)
-        out = []
-        for layer in self.network.layers[:-1]:
-            v = np.maximum(layer.weights @ v + layer.biases, 0.0)
-            out.append(v)
-        return out
-
 
 def _edge_category(weight: float, target_dir: Direction) -> Category:
     # Zero weights satisfy either sign constraint; ties go to pos/inc.

@@ -12,10 +12,9 @@ import json
 import sys
 import traceback
 
-from .bounds import BoundMethod
 from .formats import FormatError, load_network, load_query
 from .harness import generate_benchmarks, run_bench
-from .loop import verify
+from .loop import MODES, verify
 from .network import ValidationError
 from .solver import DEFAULT_EPSILON
 
@@ -39,8 +38,7 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="decide one query")
     pv.add_argument("--net", required=True, help="network file (.json or .nnet)")
     pv.add_argument("--prop", required=True, help="query file (JSON box + threshold)")
-    pv.add_argument("--mode", default="cegarette", choices=["direct", "cegar", "cegarette"])
-    pv.add_argument("--bounds", default="sbt", choices=["ibp", "sbt"])
+    pv.add_argument("--mode", default="cegarette", choices=MODES)
     pv.add_argument("--timeout", type=float, default=None, help="seconds")
     pv.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     pv.add_argument("--refine-batch", type=int, default=1, help="splits per refinement")
@@ -49,7 +47,6 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bench", help="run a suite over several modes")
     pb.add_argument("--suite", required=True, help="directory with manifest.json")
     pb.add_argument("--modes", default="cegar,cegarette", help="comma separated")
-    pb.add_argument("--bounds", default="sbt", choices=["ibp", "sbt"])
     pb.add_argument("--timeout", type=float, default=60.0)
     pb.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     pb.add_argument("--refine-batch", type=int, default=1)
@@ -71,12 +68,7 @@ def _build_parser() -> _Parser:
 def _cmd_verify(args) -> int:
     q = load_query(args.prop, load_network(args.net))
     verdict, stats = verify(
-        q,
-        args.mode,
-        timeout=args.timeout,
-        epsilon=args.epsilon,
-        method=BoundMethod(args.bounds),
-        refine_batch=args.refine_batch,
+        q, args.mode, timeout=args.timeout, epsilon=args.epsilon, refine_batch=args.refine_batch
     )
     doc = {"verdict": verdict.to_dict(), "stats": stats.to_dict()}
     if args.out:
@@ -98,7 +90,6 @@ def _cmd_bench(args) -> int:
     records, summary = run_bench(
         args.suite,
         modes,
-        method=BoundMethod(args.bounds),
         timeout=args.timeout,
         jobs=args.jobs,
         epsilon=args.epsilon,

@@ -9,9 +9,7 @@ otherwise ignored, since verification here works on raw network inputs.
 from __future__ import annotations
 
 import json
-import os
 
-import numpy as np
 
 from .network import InputBox, Layer, Network, OutputProperty, Query, ValidationError
 
@@ -163,13 +161,3 @@ def load_query(path, net: Network) -> Query:
     prop = OutputProperty(_require(doc, "output_threshold", str(path)))
     return Query(net, box, prop)
 
-
-def load_query_pair(net_path, query_path) -> Query:
-    return load_query(query_path, load_network(net_path))
-
-
-def resolve_relative(base_file, path):
-    """Resolve ``path`` relative to the directory containing ``base_file``."""
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)

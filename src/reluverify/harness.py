@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundMethod, output_bounds
-from .formats import (
-    FormatError,
-    load_network,
-    load_query,
-    resolve_relative,
-    save_network,
-    save_query,
-)
+from .formats import load_network, load_query, save_network, save_query
 from .loop import verify
 from .network import (
     InputBox,
@@ -38,10 +31,11 @@ from .network import (
     ValidationError,
     evaluate,
 )
-from .simplex import feasible_point
-from .solver import DEFAULT_EPSILON
+from .solver import DEFAULT_EPSILON, first_feasible_completion
 
-CSV_COLUMNS = ["query_id", "mode", "verdict", "refinements", "iterations", "time_ms", "timeout"]
+CSV_COLUMNS = [
+    "query_id", "mode", "verdict", "refinements", "iterations", "time_ms", "timeout", "error"
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,19 +60,6 @@ class RobustnessSpec:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "label", int(label))
-
-
-def load_robustness_spec(path) -> RobustnessSpec:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    for key in ("network", "center", "radius", "label"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing required field '{key}'")
-    net = load_network(resolve_relative(path, doc["network"]))
-    return RobustnessSpec(net, doc["center"], doc["radius"], doc["label"])
 
 
 def difference_network(net: Network, j: int, label: int) -> Network:
@@ -115,39 +96,15 @@ def reduce_to_single_output(spec: RobustnessSpec) -> list[Query]:
 
 
 def exhaustive_verdict(q: Query, epsilon: float = DEFAULT_EPSILON) -> str:
-    """Ground truth by brute force: enumerate every ReLU phase pattern and
-    solve the induced linear feasibility problem.  Only for tiny networks."""
+    """Ground truth by brute force: enumerate every ReLU phase pattern
+    (active first) and solve the induced linear feasibility problem.  Only
+    for tiny networks."""
     net = q.network
-    total_hidden = sum(net.hidden_sizes)
-    if total_hidden > 16:
+    if sum(net.hidden_sizes) > 16:
         raise ValueError("exhaustive enumeration limited to 16 hidden neurons")
-    c = q.output.threshold
-    n = net.input_size
-    for bits in itertools.product((1, 0), repeat=total_hidden):
-        C, d = np.eye(n), np.zeros(n)
-        rows, rhs = [], []
-        pos = 0
-        for layer in net.layers[:-1]:
-            pC = layer.weights @ C
-            pd = layer.weights @ d + layer.biases
-            act = np.array(bits[pos : pos + layer.size], dtype=np.float64)
-            pos += layer.size
-            for i in range(layer.size):
-                if act[i]:
-                    rows.append(-pC[i])
-                    rhs.append(pd[i])
-                else:
-                    rows.append(pC[i])
-                    rhs.append(-pd[i])
-            C, d = pC * act[:, None], pd * act
-        last = net.layers[-1]
-        oC = last.weights @ C
-        od = last.weights @ d + last.biases
-        rows.append(-oC[0])
-        rhs.append(od[0] - c - epsilon)
-        if feasible_point(np.array(rows), np.array(rhs), q.input.lower, q.input.upper) is not None:
-            return "SAT"
-    return "UNSAT"
+    phases = [np.zeros(size, dtype=np.int8) for size in net.hidden_sizes]
+    x = first_feasible_completion(net, q.input, phases, q.output.threshold + epsilon)
+    return "UNSAT" if x is None else "SAT"
 
 
 def _random_network(rng, n_inputs, widths, n_outputs, scale="uniform", domain=None) -> Network:
@@ -308,6 +265,7 @@ class BenchmarkRecord:
     iterations: int
     time_ms: float
     timeout: bool
+    error: str = ""  # "Type: message" of the exception behind an ERROR verdict
 
     def row(self) -> list:
         return [
@@ -318,21 +276,17 @@ class BenchmarkRecord:
             self.iterations,
             round(self.time_ms, 3),
             int(self.timeout),
+            self.error,
         ]
 
 
 def _bench_task(args) -> BenchmarkRecord:
-    qid, net_path, query_path, mode, method, timeout, epsilon, refine_batch = args
+    qid, net_path, query_path, mode, timeout, epsilon, refine_batch = args
     t0 = time.monotonic()
     try:
         q = load_query(query_path, load_network(net_path))
         verdict, stats = verify(
-            q,
-            mode,
-            timeout=timeout,
-            epsilon=epsilon,
-            method=BoundMethod(method),
-            refine_batch=refine_batch,
+            q, mode, timeout=timeout, epsilon=epsilon, refine_batch=refine_batch
         )
         return BenchmarkRecord(
             qid,
@@ -343,14 +297,16 @@ def _bench_task(args) -> BenchmarkRecord:
             1000.0 * stats.total_time,
             verdict.status.value == "TIMEOUT",
         )
-    except Exception:
-        return BenchmarkRecord(qid, mode, "ERROR", 0, 0, 1000.0 * (time.monotonic() - t0), False)
+    except Exception as e:
+        elapsed_ms = 1000.0 * (time.monotonic() - t0)
+        return BenchmarkRecord(
+            qid, mode, "ERROR", 0, 0, elapsed_ms, False, f"{type(e).__name__}: {e}"
+        )
 
 
 def run_bench(
     suite_dir,
     modes,
-    method: BoundMethod = BoundMethod.SBT,
     timeout: float = 60.0,
     jobs: int = 1,
     epsilon: float = DEFAULT_EPSILON,
@@ -372,7 +328,6 @@ def run_bench(
             os.path.join(suite_dir, entry["net"]),
             os.path.join(suite_dir, entry["query"]),
             mode,
-            method.value,
             timeout,
             epsilon,
             refine_batch,

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import AbstractionState, abstract_to_saturation, refine_split
-from .bounds import BoundMethod
+from .bounds import tighten_property
 from .categorize import preprocess
-from .network import OutputProperty, Query, evaluate
-from .solver import DEFAULT_EPSILON, Status, Verdict, solve
-from .tightening import tighten_property
+from .network import Query
+from .solver import DEFAULT_EPSILON, Status, Verdict, is_witness, solve
 
-SPURIOUS_SLACK = 1e-6
+MODES = ("direct", "cegar", "cegarette")
 
 
 @dataclass
@@ -55,8 +54,8 @@ class RunStats:
 
 
 def is_genuine(q: Query, x0) -> bool:
-    """Counterexample check against the original query (threshold c)."""
-    return bool(evaluate(q.network, x0)[0] > q.output.threshold - SPURIOUS_SLACK)
+    """Counterexample check against the original query, by the solver's witness rule."""
+    return is_witness(q.network, x0, q.output.threshold)
 
 
 def verify_direct(
@@ -79,7 +78,6 @@ def _refinement_loop(
     q: Query,
     mode: str,
     tighten: bool,
-    method: BoundMethod,
     timeout: float | None,
     epsilon: float,
     refine_batch: int,
@@ -106,7 +104,7 @@ def _refinement_loop(
     while True:
         threshold = q.output.threshold
         if tighten:
-            prop = tighten_property(state.network, q.network, q.input, q.output, method)
+            prop = tighten_property(state.network, q.network, q.input, q.output)
             threshold = prop.threshold
         else:
             prop = q.output
@@ -147,46 +145,32 @@ def verify_cegar(
     state_trace: list | None = None,
 ) -> tuple[Verdict, RunStats]:
     """Abstraction refinement with the output property left unchanged."""
-    return _refinement_loop(
-        q, "cegar", False, BoundMethod.SBT, timeout, epsilon, refine_batch, state_trace
-    )
+    return _refinement_loop(q, "cegar", False, timeout, epsilon, refine_batch, state_trace)
 
 
 def verify_cegarette(
     q: Query,
     timeout: float | None = None,
     epsilon: float = DEFAULT_EPSILON,
-    method: BoundMethod = BoundMethod.SBT,
     refine_batch: int = 1,
     state_trace: list | None = None,
 ) -> tuple[Verdict, RunStats]:
-    """Abstraction refinement with bound-derived property tightening."""
-    return _refinement_loop(
-        q, "cegarette", True, method, timeout, epsilon, refine_batch, state_trace
-    )
+    """Abstraction refinement with bound-derived (SBT) property tightening."""
+    return _refinement_loop(q, "cegarette", True, timeout, epsilon, refine_batch, state_trace)
 
 
-MODES = {
-    "direct": lambda q, **kw: verify_direct(
-        q, timeout=kw.get("timeout"), epsilon=kw.get("epsilon", DEFAULT_EPSILON)
-    ),
-    "cegar": lambda q, **kw: verify_cegar(
-        q,
-        timeout=kw.get("timeout"),
-        epsilon=kw.get("epsilon", DEFAULT_EPSILON),
-        refine_batch=kw.get("refine_batch", 1),
-    ),
-    "cegarette": lambda q, **kw: verify_cegarette(
-        q,
-        timeout=kw.get("timeout"),
-        epsilon=kw.get("epsilon", DEFAULT_EPSILON),
-        method=kw.get("method", BoundMethod.SBT),
-        refine_batch=kw.get("refine_batch", 1),
-    ),
-}
-
-
-def verify(q: Query, mode: str, **kw) -> tuple[Verdict, RunStats]:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
-    return MODES[mode](q, **kw)
+def verify(
+    q: Query,
+    mode: str,
+    timeout: float | None = None,
+    epsilon: float = DEFAULT_EPSILON,
+    refine_batch: int = 1,
+) -> tuple[Verdict, RunStats]:
+    """Decide ``q`` in one of ``MODES``; ``refine_batch`` only affects the refinement loops."""
+    if mode == "direct":
+        return verify_direct(q, timeout, epsilon)
+    if mode == "cegar":
+        return verify_cegar(q, timeout, epsilon, refine_batch)
+    if mode == "cegarette":
+        return verify_cegarette(q, timeout, epsilon, refine_batch)
+    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

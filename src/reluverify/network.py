@@ -187,3 +187,13 @@ def evaluate(net: Network, x) -> np.ndarray:
         if layer.relu:
             v = np.maximum(v, 0.0)
     return v
+
+
+def hidden_values(net: Network, x) -> list[np.ndarray]:
+    """Post-activation values of every hidden layer at input ``x``."""
+    v = np.asarray(x, dtype=np.float64)
+    out = []
+    for layer in net.layers[:-1]:
+        v = np.maximum(layer.weights @ v + layer.biases, 0.0)
+        out.append(v)
+    return out

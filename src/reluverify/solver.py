@@ -6,9 +6,12 @@ node with phase-aware symbolic tightening, branches whose output upper
 bound cannot exceed the threshold are pruned, and fully-decided leaves
 reduce to a linear feasibility problem solved with a dense simplex.
 
-The strict property ``y > c`` is decided at granularity epsilon: SAT means
-some x in the box reaches ``y >= c + epsilon``.  Every SAT witness is
-re-checked by concrete forward evaluation before being returned.
+The strict property ``y > c`` is decided at granularity epsilon:
+
+* UNSAT promises that no x in the box reaches ``y >= c + epsilon``.
+* SAT returns a box point x with ``y(x) > c - WITNESS_SLACK``, checked by
+  concrete forward evaluation (``is_witness``).  The refinement loops accept
+  counterexamples on the original network by the same rule.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0
 
 DEFAULT_EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
+# Tighter pivot and feasibility tolerances for re-solving a leaf whose first
+# simplex run failed numerically or returned a marginal point.
+RETRY_TOLERANCES = {"tol": 1e-11, "feas_tol": 1e-10}
 
 
 class Status(str, enum.Enum):
@@ -56,58 +62,66 @@ class Verdict:
         }
 
 
-def _leaf_rows(sym, target: float):
-    """Linear rows (A x <= b) encoding the fixed-phase region and output >= target."""
+def is_witness(net: Network, x, threshold: float) -> bool:
+    """The one acceptance rule for a SAT witness: ``net(x) > threshold - WITNESS_SLACK``."""
+    return bool(evaluate(net, x)[0] > threshold - WITNESS_SLACK)
+
+
+def _leaf_rows(net: Network, modes, target: float):
+    """Linear rows (A x <= b) of the region where every ReLU has its phase
+    in ``modes`` (+1 active, -1 inactive) and the output reaches ``target``.
+
+    Exact affine propagation: under a full phase assignment each layer's
+    pre-activations are an affine map ``C x + d`` of the input.
+    """
+    C, d = net.layers[0].weights, net.layers[0].biases
     rows, rhs = [], []
-    for k, mode in enumerate(sym.relu_modes):
-        Lc, Lk = sym.pre_lower[k]
-        for i in range(mode.shape[0]):
-            if mode[i] == ACTIVE:
-                rows.append(-Lc[i])
-                rhs.append(Lk[i])
-            else:
-                rows.append(Lc[i])
-                rhs.append(-Lk[i])
-    out_c, out_k = sym.pre_lower[-1]
-    rows.append(-out_c[0])
-    rhs.append(out_k[0] - target)
-    return np.array(rows), np.array(rhs)
+    for layer, mode in zip(net.layers[1:], modes):
+        active = mode == ACTIVE
+        rows.append(np.where(active[:, None], -C, C))
+        rhs.append(np.where(active, d, -d))
+        C, d = layer.weights @ (C * active[:, None]), layer.weights @ (d * active) + layer.biases
+    rows.append(-C[:1])
+    rhs.append(d[:1] - target)
+    return np.vstack(rows), np.concatenate(rhs)
 
 
-def _solve_leaf(net: Network, box: InputBox, sym, threshold: float, epsilon: float):
+def first_feasible_completion(net: Network, box: InputBox, phases, target: float):
+    """A box point reaching ``target`` in the first completion of ``phases``
+    (undecided neurons filled active-first, in layer order) whose leaf region
+    is feasible, or None when no completion is."""
+    full = [ph.copy() for ph in phases]
+    free = [(k, i) for k, ph in enumerate(full) for i, m in enumerate(ph.tolist()) if m == UNKNOWN]
+    for combo in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
+        for (k, i), val in zip(free, combo):
+            full[k][i] = val
+        A, b = _leaf_rows(net, full, target)
+        try:
+            x = feasible_point(A, b, box.lower, box.upper)
+        except SimplexError:
+            x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
+        if x is not None:
+            return x
+    return None
+
+
+def _solve_leaf(net: Network, box: InputBox, modes, threshold: float, epsilon: float):
     """Feasibility of a fully-decided branch; returns a verified witness or None."""
-    A, b = _leaf_rows(sym, threshold + epsilon)
-    try:
-        x = feasible_point(A, b, box.lower, box.upper)
-    except SimplexError:
-        x = feasible_point(A, b, box.lower, box.upper, tol=1e-11, feas_tol=1e-10)
-    if x is None:
-        return None
-    if evaluate(net, x)[0] > threshold - WITNESS_SLACK:
+    x = first_feasible_completion(net, box, modes, threshold + epsilon)
+    if x is None or is_witness(net, x, threshold):
         return x
     # Marginal LP answer; re-solve with tightened pivots before giving up.
-    x = feasible_point(A, b, box.lower, box.upper, tol=1e-11, feas_tol=1e-10)
-    if x is not None and evaluate(net, x)[0] > threshold - WITNESS_SLACK:
+    A, b = _leaf_rows(net, modes, threshold + epsilon)
+    x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
+    if x is not None and is_witness(net, x, threshold):
         return x
     raise SolverError("simplex produced a witness that fails concrete re-evaluation")
 
 
 def _assert_no_sat_leaf(net, box, phases, threshold, epsilon):
     """Debug check for pruned branches: no completion has a feasible leaf."""
-    free = [
-        (k, i)
-        for k, ph in enumerate(phases)
-        for i in np.flatnonzero(ph == UNKNOWN)
-    ]
-    for combo in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
-        full = tuple(ph.copy() for ph in phases)
-        for (k, i), val in zip(free, combo):
-            full[k][i] = val
-        sym, _ = sbt(net, box, full)
-        A, b = _leaf_rows(sym, threshold + epsilon)
-        assert feasible_point(A, b, box.lower, box.upper) is None, (
-            f"pruned branch contains a feasible leaf (phases {combo})"
-        )
+    x = first_feasible_completion(net, box, phases, threshold + epsilon)
+    assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
 
 
 def solve(
@@ -118,8 +132,7 @@ def solve(
 ) -> Verdict:
     """Decide a query: UNSAT, SAT with witness, or TIMEOUT.
 
-    UNSAT guarantees no x in the box reaches ``y >= c + epsilon``; SAT
-    returns a box point whose concrete output exceeds ``c - 1e-9``.
+    UNSAT and SAT promise what the module docstring states.
     """
     net, box, c = query.network, query.input, query.output.threshold
     start = time.monotonic()
@@ -162,7 +175,7 @@ def solve(
         if depth == 0 and lo_out >= c + epsilon:
             # Every box point is a witness when the sound lower bound clears c.
             mid = box.midpoint()
-            if evaluate(net, mid)[0] > c - WITNESS_SLACK:
+            if is_witness(net, mid, c):
                 return verdict(Status.SAT, mid)
 
         branch = None
@@ -174,7 +187,7 @@ def solve(
                 if width > widest:
                     widest, branch = width, (k, int(i))
         if branch is None:
-            x = _solve_leaf(net, box, sym, c, epsilon)
+            x = _solve_leaf(net, box, sym.relu_modes, c, epsilon)
             if x is not None:
                 return verdict(Status.SAT, x)
             continue

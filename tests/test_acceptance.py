@@ -84,7 +84,6 @@ def robust_bench(tmp_path_factory):
     records, summary = run_bench(
         suite,
         ["cegar", "cegarette"],
-        method=BoundMethod.SBT,
         timeout=60.0,
         jobs=max(1, os.cpu_count() or 1),
         out_csv=out_csv,

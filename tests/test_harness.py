@@ -210,3 +210,22 @@ def test_manifest_roundtrip(tmp_path):
     suite = tmp_path / "suite"
     manifest = generate_benchmarks(5, 4, suite, kind="oracle")
     assert load_manifest(suite) == manifest
+
+
+def test_error_records_carry_the_exception(tmp_path, monkeypatch):
+    import reluverify.harness as harness
+
+    def boom(*a, **kw):
+        raise RuntimeError("induced failure")
+
+    monkeypatch.setattr(harness, "verify", boom)
+    suite = tmp_path / "suite"
+    generate_benchmarks(17, 2, suite, kind="oracle")
+    out = tmp_path / "results.csv"
+    records, summary = run_bench(suite, ["direct"], out_csv=out)
+    assert [r.verdict for r in records] == ["ERROR", "ERROR"]
+    assert all(r.error == "RuntimeError: induced failure" for r in records)
+    assert summary["modes"]["direct"]["errors"] == 2
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["RuntimeError: induced failure"] * 2

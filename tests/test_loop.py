@@ -4,6 +4,7 @@ import pytest
 from reluverify import (
     InputBox,
     Layer,
+    MODES,
     Network,
     OutputProperty,
     Query,
@@ -14,6 +15,7 @@ from reluverify import (
     verify_cegarette,
     verify_direct,
 )
+from reluverify.loop import is_genuine
 
 from conftest import (
     forward_batch,
@@ -136,3 +138,49 @@ def test_refine_batch_accelerates_cegar():
 def test_unknown_mode_rejected(query121):
     with pytest.raises(ValueError):
         verify(query121, "fastest")
+
+
+def test_unknown_keyword_rejected(query121):
+    with pytest.raises(TypeError):
+        verify(query121, "cegar", timout=0.0)
+
+
+def test_near_threshold_reproducer_unsat_in_every_mode():
+    # The maximum on [20, 21] is exactly 340, at x = 20; c sits 5e-7 above
+    # it, so the witness x = 20 misses c and must be rejected as spurious.
+    net = Network(
+        [Layer([[-10.0], [-1.0]], [300.0, 30.0], True), Layer([[3.0, 4.0]], [0.0], False)], 1
+    )
+    q = Query(net, InputBox([20.0], [21.0]), OutputProperty(340.0 + 5e-7))
+    assert not is_genuine(q, np.array([20.0]))
+    for mode in MODES:
+        v, _ = verify(q, mode)
+        assert v.status is Status.UNSAT, mode
+
+
+def test_near_threshold_cross_mode_agreement():
+    # Thresholds within epsilon of the sampled maximum.  Every witness must
+    # pass the solver's rule on the original network, and the modes must
+    # agree except inside the granularity band: UNSAT only promises that no
+    # point reaches c + epsilon, so a SAT witness may sit in (c, c + epsilon)
+    # where another mode's leaf LP is infeasible.  Outside that band a SAT
+    # next to an UNSAT is a contradiction.
+    eps = 1e-6
+    rng = np.random.default_rng(85)
+    seen = set()
+    for _ in range(60):
+        q = random_query(rng, net=random_oracle_network(rng))
+        ys = forward_batch(q.network, sample_box(rng, q.input, 512))[:, 0]
+        c = float(ys.max() + rng.uniform(-eps, eps))
+        q = Query(q.network, q.input, OutputProperty(c))
+        runs = {mode: verify(q, mode, epsilon=eps)[0] for mode in MODES}
+        margins = []
+        for v in runs.values():
+            seen.add(v.status)
+            if v.status is Status.SAT:
+                assert q.input.contains(v.witness)
+                margins.append(evaluate(q.network, v.witness)[0] - c)
+                assert margins[-1] > -1e-9
+        if Status.UNSAT in {v.status for v in runs.values()}:
+            assert all(m < eps for m in margins), (runs, margins)
+    assert seen == {Status.SAT, Status.UNSAT}

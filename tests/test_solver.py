@@ -13,6 +13,7 @@ from reluverify import (
     preprocess,
     solve,
 )
+from reluverify.solver import _leaf_rows
 
 from conftest import oracle_verdict, random_oracle_network, random_query, random_network
 
@@ -90,3 +91,41 @@ def test_deterministic_verdicts_and_witnesses():
         assert v1.status is v2.status
         if v1.witness is not None:
             assert np.array_equal(v1.witness, v2.witness)
+
+
+def _loop_leaf_rows(net, modes, target):
+    """Per-neuron reference for ``_leaf_rows``: same arithmetic, one row at a time."""
+    C, d = np.eye(net.input_size), np.zeros(net.input_size)
+    rows, rhs = [], []
+    for layer, mode in zip(net.layers[:-1], modes):
+        pC, pd = layer.weights @ C, layer.weights @ d + layer.biases
+        for i in range(layer.size):
+            sign = -1.0 if mode[i] == 1 else 1.0
+            rows.append(sign * pC[i])
+            rhs.append(-sign * pd[i])
+        act = (mode == 1).astype(np.float64)
+        C, d = pC * act[:, None], pd * act
+    last = net.layers[-1]
+    rows.append(-(last.weights @ C)[0])
+    rhs.append((last.weights @ d + last.biases)[0] - target)
+    return np.array(rows), np.array(rhs)
+
+
+def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
+    # Rows built for x's own phase pattern with target y(x) equal the
+    # per-neuron reference bit for bit, hold at x, and are tight on the output.
+    rng = np.random.default_rng(74)
+    for _ in range(50):
+        net = random_network(rng, n_layers=int(rng.integers(0, 4)))
+        x = rng.uniform(-1.0, 1.0, size=net.input_size)
+        modes, v = [], x
+        for layer in net.layers[:-1]:
+            pre = layer.weights @ v + layer.biases
+            modes.append(np.where(pre >= 0.0, 1, -1).astype(np.int8))
+            v = np.maximum(pre, 0.0)
+        y = evaluate(net, x)[0]
+        A, b = _leaf_rows(net, modes, y)
+        A_ref, b_ref = _loop_leaf_rows(net, modes, y)
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+        assert np.all(A @ x <= b + 1e-9)
+        assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
