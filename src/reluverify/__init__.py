@@ -35,7 +35,7 @@ from .harness import (
     reduce_to_single_output,
     run_bench,
 )
-from .loop import MODES, RunStats, verify, verify_cegar, verify_cegarette, verify_direct
+from .loop import MODES, RunStats, verify
 from .network import (
     InputBox,
     Layer,
@@ -92,7 +92,4 @@ __all__ = [
     "solve",
     "tighten_property",
     "verify",
-    "verify_cegar",
-    "verify_cegarette",
-    "verify_direct",
 ]

@@ -182,38 +182,21 @@ def _split_scores(state: AbstractionState, x0: np.ndarray):
     return out
 
 
-def refine_split(state: AbstractionState, x0, k: int = 1) -> AbstractionState:
-    """Extract up to ``k`` constituents into singleton groups, guided by the
-    spurious input ``x0``; remaining group weights are re-aggregated.
+def refine_split(state: AbstractionState, x0) -> AbstractionState:
+    """Extract one constituent into a singleton group, guided by the spurious
+    input ``x0``; the rest of its group is re-aggregated.
 
     The result sits between the previous state and the base in the
     over-approximation order, and the total merge excess strictly drops.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     if state.excess == 0:
         raise CannotRefineError("all groups are singletons; nothing to split")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (state.base.network.input_size,):
         raise ValueError("x0 has the wrong dimension")
 
-    candidates = _split_scores(state, x0)
-    candidates.sort(key=lambda it: (-it[0], it[1], it[2]))
-    chosen = candidates[:k]
-
-    pulled: dict[int, set[int]] = {}
-    for _, layer, m, _gi in chosen:
-        pulled.setdefault(layer, set()).add(m)
-
-    groups = []
-    for layer, layer_groups in enumerate(state.groups):
-        take = pulled.get(layer, set())
-        new_layer = []
-        for g in layer_groups:
-            rest = [m for m in g if m not in take]
-            new_layer.extend((m,) for m in g if m in take)
-            if rest:
-                new_layer.append(tuple(rest))
-        groups.append(new_layer)
+    _, layer, member, gi = min(_split_scores(state, x0), key=lambda it: (-it[0], it[1], it[2]))
+    groups = [list(layer_groups) for layer_groups in state.groups]
+    rest = tuple(m for m in groups[layer][gi] if m != member)
+    groups[layer][gi : gi + 1] = [(member,), rest]
     return _make_state(state.base, groups, state.nonneg_inputs)
-

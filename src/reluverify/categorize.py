@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Layer, Network, evaluate
+from .network import Layer, Network
 
 
 class Sign(enum.Enum):
@@ -166,5 +166,4 @@ __all__ = [
     "CategorizedNetwork",
     "preprocess",
     "check_category_invariants",
-    "evaluate",
 ]

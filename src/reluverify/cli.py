@@ -16,7 +16,6 @@ from .formats import FormatError, load_network, load_query
 from .harness import generate_benchmarks, run_bench
 from .loop import MODES, verify
 from .network import ValidationError
-from .solver import DEFAULT_EPSILON
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,16 +39,12 @@ def _build_parser() -> _Parser:
     pv.add_argument("--prop", required=True, help="query file (JSON box + threshold)")
     pv.add_argument("--mode", default="cegarette", choices=MODES)
     pv.add_argument("--timeout", type=float, default=None, help="seconds")
-    pv.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    pv.add_argument("--refine-batch", type=int, default=1, help="splits per refinement")
     pv.add_argument("--out", default=None, help="write verdict + stats as JSON")
 
     pb = sub.add_parser("bench", help="run a suite over several modes")
     pb.add_argument("--suite", required=True, help="directory with manifest.json")
     pb.add_argument("--modes", default="cegar,cegarette", help="comma separated")
     pb.add_argument("--timeout", type=float, default=60.0)
-    pb.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    pb.add_argument("--refine-batch", type=int, default=1)
     pb.add_argument("--jobs", type=int, default=1)
     pb.add_argument("--out", required=True, help="CSV output path")
 
@@ -58,18 +53,12 @@ def _build_parser() -> _Parser:
     pg.add_argument("--count", type=int, required=True)
     pg.add_argument("--out", required=True, help="suite directory")
     pg.add_argument("--kind", default="oracle", choices=["oracle", "robust"])
-    pg.add_argument("--min-layers", type=int, default=2)
-    pg.add_argument("--max-layers", type=int, default=4)
-    pg.add_argument("--min-width", type=int, default=10)
-    pg.add_argument("--max-width", type=int, default=30)
     return parser
 
 
 def _cmd_verify(args) -> int:
     q = load_query(args.prop, load_network(args.net))
-    verdict, stats = verify(
-        q, args.mode, timeout=args.timeout, epsilon=args.epsilon, refine_batch=args.refine_batch
-    )
+    verdict, stats = verify(q, args.mode, timeout=args.timeout)
     doc = {"verdict": verdict.to_dict(), "stats": stats.to_dict()}
     if args.out:
         with open(args.out, "w") as fh:
@@ -88,13 +77,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     records, summary = run_bench(
-        args.suite,
-        modes,
-        timeout=args.timeout,
-        jobs=args.jobs,
-        epsilon=args.epsilon,
-        refine_batch=args.refine_batch,
-        out_csv=args.out,
+        args.suite, modes, timeout=args.timeout, jobs=args.jobs, out_csv=args.out
     )
     print(json.dumps(summary, indent=1))
     print(f"wrote {len(records)} records to {args.out}")
@@ -102,16 +85,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    manifest = generate_benchmarks(
-        args.seed,
-        args.count,
-        args.out,
-        kind=args.kind,
-        min_layers=args.min_layers,
-        max_layers=args.max_layers,
-        min_width=args.min_width,
-        max_width=args.max_width,
-    )
+    manifest = generate_benchmarks(args.seed, args.count, args.out, kind=args.kind)
     print(f"wrote {manifest['count']} queries to {args.out}")
     return EXIT_OK
 

@@ -31,7 +31,13 @@ from .network import (
     ValidationError,
     evaluate,
 )
-from .solver import DEFAULT_EPSILON, first_feasible_completion
+from .solver import EPSILON, first_feasible_completion
+
+# Robustness-suite network shape: hidden layer count and width ranges.
+MIN_LAYERS, MAX_LAYERS = 2, 4
+MIN_WIDTH, MAX_WIDTH = 10, 30
+# Radius range searched by the certified-radius bisection.
+RADIUS_LO, RADIUS_HI = 1e-4, 0.5
 
 CSV_COLUMNS = [
     "query_id", "mode", "verdict", "refinements", "iterations", "time_ms", "timeout", "error"
@@ -95,7 +101,7 @@ def reduce_to_single_output(spec: RobustnessSpec) -> list[Query]:
     ]
 
 
-def exhaustive_verdict(q: Query, epsilon: float = DEFAULT_EPSILON) -> str:
+def exhaustive_verdict(q: Query) -> str:
     """Ground truth by brute force: enumerate every ReLU phase pattern
     (active first) and solve the induced linear feasibility problem.  Only
     for tiny networks."""
@@ -103,7 +109,7 @@ def exhaustive_verdict(q: Query, epsilon: float = DEFAULT_EPSILON) -> str:
     if sum(net.hidden_sizes) > 16:
         raise ValueError("exhaustive enumeration limited to 16 hidden neurons")
     phases = [np.zeros(size, dtype=np.int8) for size in net.hidden_sizes]
-    x = first_feasible_completion(net, q.input, phases, q.output.threshold + epsilon)
+    x = first_feasible_completion(net, q.input, phases, q.output.threshold + EPSILON)
     return "UNSAT" if x is None else "SAT"
 
 
@@ -147,7 +153,7 @@ def _gen_oracle_query(rng) -> tuple[Network, Query, str]:
     return net, q, exhaustive_verdict(q)
 
 
-def _certified_radius(net: Network, center, label: int, lo_max: float = 1e-4, hi_max: float = 0.5):
+def _certified_radius(net: Network, center, label: int):
     """Largest radius (bisected) at which symbolic bounds certify robustness."""
 
     def certified(delta: float) -> bool:
@@ -157,11 +163,11 @@ def _certified_radius(net: Network, center, label: int, lo_max: float = 1e-4, hi
             for rq in reduce_to_single_output(spec)
         )
 
-    if not certified(lo_max):
+    if not certified(RADIUS_LO):
         return None
-    if certified(hi_max):
-        return hi_max
-    lo, hi = lo_max, hi_max
+    if certified(RADIUS_HI):
+        return RADIUS_HI
+    lo, hi = RADIUS_LO, RADIUS_HI
     for _ in range(24):
         mid = 0.5 * (lo + hi)
         if certified(mid):
@@ -171,12 +177,12 @@ def _certified_radius(net: Network, center, label: int, lo_max: float = 1e-4, hi
     return lo
 
 
-def _gen_robust_queries(rng, min_layers, max_layers, min_width, max_width) -> list[tuple[Network, Query]]:
+def _gen_robust_queries(rng) -> list[tuple[Network, Query]]:
     """Reduced robustness queries, each provably UNSAT via symbolic bounds."""
     n_inputs = int(rng.integers(4, 7))
     n_outputs = int(rng.integers(2, 4))
-    n_layers = int(rng.integers(min_layers, max_layers + 1))
-    widths = [int(rng.integers(min_width, max_width + 1)) for _ in range(n_layers)]
+    n_layers = int(rng.integers(MIN_LAYERS, MAX_LAYERS + 1))
+    widths = [int(rng.integers(MIN_WIDTH, MAX_WIDTH + 1)) for _ in range(n_layers)]
     domain = (np.zeros(n_inputs), np.ones(n_inputs))
     net = _random_network(rng, n_inputs, widths, n_outputs, scale="normal", domain=domain)
     center = rng.uniform(0.1, 0.9, size=n_inputs)
@@ -193,21 +199,13 @@ def _gen_robust_queries(rng, min_layers, max_layers, min_width, max_width) -> li
     return [(rq.network, rq) for rq in reduce_to_single_output(spec)]
 
 
-def generate_benchmarks(
-    seed: int,
-    count: int,
-    out_dir,
-    kind: str = "oracle",
-    min_layers: int = 2,
-    max_layers: int = 4,
-    min_width: int = 10,
-    max_width: int = 30,
-) -> dict:
+def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") -> dict:
     """Write a deterministic suite of query files plus a manifest.
 
     ``oracle`` emits small single-output queries labeled by exhaustive
     enumeration (a mix of SAT and UNSAT); ``robust`` emits reduced
     robustness queries whose UNSAT labels are certified by symbolic bounds.
+    Exactly ``count`` queries are written.
     """
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -222,12 +220,12 @@ def generate_benchmarks(
             net, q, label = _gen_oracle_query(rng)
             pending.append((net, q, label, "exhaustive"))
         elif kind == "robust":
-            for net, q in _gen_robust_queries(rng, min_layers, max_layers, min_width, max_width):
+            for net, q in _gen_robust_queries(rng):
                 pending.append((net, q, "UNSAT", "certified"))
         else:
             raise ValueError(f"unknown benchmark kind {kind!r}")
 
-    for i, (net, q, label, source) in enumerate(pending[:count] if kind == "oracle" else pending):
+    for i, (net, q, label, source) in enumerate(pending[:count]):
         qid = f"q{i:04d}"
         qdir = os.path.join(out_dir, qid)
         os.makedirs(qdir, exist_ok=True)
@@ -281,13 +279,11 @@ class BenchmarkRecord:
 
 
 def _bench_task(args) -> BenchmarkRecord:
-    qid, net_path, query_path, mode, timeout, epsilon, refine_batch = args
+    qid, net_path, query_path, mode, timeout = args
     t0 = time.monotonic()
     try:
         q = load_query(query_path, load_network(net_path))
-        verdict, stats = verify(
-            q, mode, timeout=timeout, epsilon=epsilon, refine_batch=refine_batch
-        )
+        verdict, stats = verify(q, mode, timeout=timeout)
         return BenchmarkRecord(
             qid,
             mode,
@@ -309,8 +305,6 @@ def run_bench(
     modes,
     timeout: float = 60.0,
     jobs: int = 1,
-    epsilon: float = DEFAULT_EPSILON,
-    refine_batch: int = 1,
     out_csv=None,
 ) -> tuple[list[BenchmarkRecord], dict]:
     """Run every (query, mode) pair of a suite; returns records and a summary.
@@ -329,8 +323,6 @@ def run_bench(
             os.path.join(suite_dir, entry["query"]),
             mode,
             timeout,
-            epsilon,
-            refine_batch,
         )
         for entry in manifest["queries"]
         for mode in modes

@@ -1,12 +1,13 @@
 """Verification loops: direct solving, abstraction refinement with a fixed
 property, and abstraction refinement with property tightening.
 
-All three agree on verdicts; they differ in how much work the backend
-solver sees.  The refinement loops saturate-abstract the network first,
-check solver counterexamples against the original query, and split merged
-neurons guided by spurious ones.  The tightening loop additionally raises
-the abstract query's threshold by the certified output gap, recomputed from
-scratch after every refinement.
+All three agree on verdicts outside the granularity band
+``(c, c + EPSILON)`` (see ``solver``); they differ in how much work the
+backend solver sees.  The refinement loops saturate-abstract the network
+first, check solver counterexamples against the original query, and split
+merged neurons guided by spurious ones.  The tightening loop additionally
+raises the abstract query's threshold by the certified output gap,
+recomputed from scratch after every refinement.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .abstraction import AbstractionState, abstract_to_saturation, refine_split
 from .bounds import tighten_property
 from .categorize import preprocess
 from .network import Query
-from .solver import DEFAULT_EPSILON, Status, Verdict, is_witness, solve
+from .solver import Status, Verdict, is_witness, solve
 
 MODES = ("direct", "cegar", "cegarette")
 
@@ -58,13 +59,62 @@ def is_genuine(q: Query, x0) -> bool:
     return is_witness(q.network, x0, q.output.threshold)
 
 
-def verify_direct(
-    q: Query, timeout: float | None = None, epsilon: float = DEFAULT_EPSILON
-) -> tuple[Verdict, RunStats]:
-    """Hand the original query straight to the backend solver."""
+def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdict, RunStats]:
+    stats = RunStats(mode=mode)
+    start = time.monotonic()
+
+    def remaining():
+        return None if timeout is None else timeout - (time.monotonic() - start)
+
+    def finish(status: Status, witness=None, solve_time: float = 0.0) -> tuple[Verdict, RunStats]:
+        stats.total_time = time.monotonic() - start
+        return Verdict(status, witness, stats.solver_nodes, solve_time), stats
+
+    base = preprocess(q.network)
+    nonneg = bool(np.all(q.input.lower >= 0.0))
+    state: AbstractionState = abstract_to_saturation(base, nonneg_inputs=nonneg)
+    stats.initial_excess = state.excess
+    iteration_bound = 1 + stats.initial_excess
+
+    while True:
+        if mode == "cegarette":
+            prop = tighten_property(state.network, q.network, q.input, q.output)
+        else:
+            prop = q.output
+        stats.iterations += 1
+        stats.abstract_hidden_sizes.append(state.hidden_sizes)
+        stats.thresholds.append(prop.threshold)
+        if stats.iterations > iteration_bound:
+            raise RuntimeError(
+                f"{mode}: exceeded the convergence bound of {iteration_bound} iterations"
+            )
+
+        budget = remaining()
+        if budget is not None and budget <= 0:
+            return finish(Status.TIMEOUT)
+        v = solve(Query(state.network, q.input, prop), timeout=budget)
+        stats.solver_times.append(v.time)
+        stats.solver_nodes += v.nodes
+
+        if v.status is not Status.SAT:
+            return finish(v.status, None, v.time)
+        x0 = v.witness
+        if is_genuine(q, x0):
+            return finish(Status.SAT, x0, v.time)
+        state = refine_split(state, x0)
+        stats.refinement_steps += 1
+
+
+def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, RunStats]:
+    """Decide ``q`` in one of ``MODES``: ``direct`` hands the original query
+    straight to the solver, ``cegar`` and ``cegarette`` run the refinement loop."""
+    if mode in ("cegar", "cegarette"):
+        return _refinement_loop(q, mode, timeout)
+    if mode != "direct":
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     stats = RunStats(mode="direct", initial_excess=0)
     start = time.monotonic()
-    v = solve(q, timeout=timeout, epsilon=epsilon)
+    v = solve(q, timeout=timeout)
     stats.iterations = 1
     stats.abstract_hidden_sizes.append(q.network.hidden_sizes)
     stats.thresholds.append(q.output.threshold)
@@ -72,105 +122,3 @@ def verify_direct(
     stats.solver_nodes = v.nodes
     stats.total_time = time.monotonic() - start
     return v, stats
-
-
-def _refinement_loop(
-    q: Query,
-    mode: str,
-    tighten: bool,
-    timeout: float | None,
-    epsilon: float,
-    refine_batch: int,
-    state_trace: list | None,
-) -> tuple[Verdict, RunStats]:
-    stats = RunStats(mode=mode)
-    start = time.monotonic()
-
-    def remaining():
-        return None if timeout is None else timeout - (time.monotonic() - start)
-
-    def finish(v: Verdict) -> tuple[Verdict, RunStats]:
-        stats.total_time = time.monotonic() - start
-        return v, stats
-
-    base = preprocess(q.network)
-    nonneg = bool(np.all(q.input.lower >= 0.0))
-    state: AbstractionState = abstract_to_saturation(base, nonneg_inputs=nonneg)
-    stats.initial_excess = state.excess
-    max_iterations = 1 + stats.initial_excess
-    if state_trace is not None:
-        state_trace.append(state)
-
-    while True:
-        threshold = q.output.threshold
-        if tighten:
-            prop = tighten_property(state.network, q.network, q.input, q.output)
-            threshold = prop.threshold
-        else:
-            prop = q.output
-        stats.iterations += 1
-        stats.abstract_hidden_sizes.append(state.hidden_sizes)
-        stats.thresholds.append(threshold)
-        if stats.iterations > max_iterations:
-            raise RuntimeError(
-                f"{mode}: exceeded the convergence bound of {max_iterations} iterations"
-            )
-
-        budget = remaining()
-        if budget is not None and budget <= 0:
-            return finish(Verdict(Status.TIMEOUT, None, stats.solver_nodes, 0.0))
-        abstract_query = Query(state.network, q.input, prop)
-        v = solve(abstract_query, timeout=budget, epsilon=epsilon)
-        stats.solver_times.append(v.time)
-        stats.solver_nodes += v.nodes
-
-        if v.status is Status.TIMEOUT:
-            return finish(v)
-        if v.status is Status.UNSAT:
-            return finish(Verdict(Status.UNSAT, None, stats.solver_nodes, v.time))
-        x0 = v.witness
-        if is_genuine(q, x0):
-            return finish(Verdict(Status.SAT, x0, stats.solver_nodes, v.time))
-        state = refine_split(state, x0, k=refine_batch)
-        stats.refinement_steps += 1
-        if state_trace is not None:
-            state_trace.append(state)
-
-
-def verify_cegar(
-    q: Query,
-    timeout: float | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    refine_batch: int = 1,
-    state_trace: list | None = None,
-) -> tuple[Verdict, RunStats]:
-    """Abstraction refinement with the output property left unchanged."""
-    return _refinement_loop(q, "cegar", False, timeout, epsilon, refine_batch, state_trace)
-
-
-def verify_cegarette(
-    q: Query,
-    timeout: float | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    refine_batch: int = 1,
-    state_trace: list | None = None,
-) -> tuple[Verdict, RunStats]:
-    """Abstraction refinement with bound-derived (SBT) property tightening."""
-    return _refinement_loop(q, "cegarette", True, timeout, epsilon, refine_batch, state_trace)
-
-
-def verify(
-    q: Query,
-    mode: str,
-    timeout: float | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    refine_batch: int = 1,
-) -> tuple[Verdict, RunStats]:
-    """Decide ``q`` in one of ``MODES``; ``refine_batch`` only affects the refinement loops."""
-    if mode == "direct":
-        return verify_direct(q, timeout, epsilon)
-    if mode == "cegar":
-        return verify_cegar(q, timeout, epsilon, refine_batch)
-    if mode == "cegarette":
-        return verify_cegarette(q, timeout, epsilon, refine_batch)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -112,10 +112,6 @@ class Network:
     def hidden_sizes(self) -> list[int]:
         return [layer.size for layer in self.layers[:-1]]
 
-    @property
-    def n_hidden_layers(self) -> int:
-        return len(self.layers) - 1
-
 
 @dataclass(frozen=True, eq=False)
 class InputBox:

@@ -23,7 +23,6 @@ def feasible_point(
     hi: np.ndarray,
     tol: float = 1e-9,
     feas_tol: float = 1e-8,
-    max_iter: int | None = None,
 ) -> np.ndarray | None:
     """Return some x with ``A x <= b`` inside the box, or None if infeasible."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
@@ -71,9 +70,7 @@ def feasible_point(
     cost = np.zeros(n + m + n_art)
     cost[n + m :] = 1.0
 
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
-    for _ in range(max_iter):
+    for _ in range(200 * (m + n + 10)):
         # Reduced costs: c_j - c_B . B^-1 a_j; rows are already B^-1 a.
         z = cost[: n + m + n_art] - cost[basis] @ T[:, :-1]
         entering = -1

@@ -6,12 +6,16 @@ node with phase-aware symbolic tightening, branches whose output upper
 bound cannot exceed the threshold are pruned, and fully-decided leaves
 reduce to a linear feasibility problem solved with a dense simplex.
 
-The strict property ``y > c`` is decided at granularity epsilon:
+Tolerance policy.  Three constants fix every tolerance of a verdict:
 
-* UNSAT promises that no x in the box reaches ``y >= c + epsilon``.
-* SAT returns a box point x with ``y(x) > c - WITNESS_SLACK``, checked by
-  concrete forward evaluation (``is_witness``).  The refinement loops accept
-  counterexamples on the original network by the same rule.
+* ``EPSILON`` is the decision granularity of the strict property ``y > c``.
+  UNSAT promises that no x in the box reaches ``y >= c + EPSILON``.
+* ``WITNESS_SLACK``: SAT returns a box point x with ``y(x) > c - WITNESS_SLACK``,
+  checked by concrete forward evaluation (``is_witness``).  The refinement
+  loops accept counterexamples on the original network by the same rule.
+* ``RETRY_TOLERANCES`` are the tighter simplex pivot and feasibility
+  tolerances for re-solving a leaf whose first run failed numerically or
+  returned a marginal point; the first run uses the simplex defaults.
 """
 
 from __future__ import annotations
@@ -29,10 +33,8 @@ from .simplex import SimplexError, feasible_point
 
 ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0
 
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
-# Tighter pivot and feasibility tolerances for re-solving a leaf whose first
-# simplex run failed numerically or returned a marginal point.
 RETRY_TOLERANCES = {"tol": 1e-11, "feas_tol": 1e-10}
 
 
@@ -105,31 +107,26 @@ def first_feasible_completion(net: Network, box: InputBox, phases, target: float
     return None
 
 
-def _solve_leaf(net: Network, box: InputBox, modes, threshold: float, epsilon: float):
+def _solve_leaf(net: Network, box: InputBox, modes, threshold: float):
     """Feasibility of a fully-decided branch; returns a verified witness or None."""
-    x = first_feasible_completion(net, box, modes, threshold + epsilon)
+    x = first_feasible_completion(net, box, modes, threshold + EPSILON)
     if x is None or is_witness(net, x, threshold):
         return x
     # Marginal LP answer; re-solve with tightened pivots before giving up.
-    A, b = _leaf_rows(net, modes, threshold + epsilon)
+    A, b = _leaf_rows(net, modes, threshold + EPSILON)
     x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
     if x is not None and is_witness(net, x, threshold):
         return x
     raise SolverError("simplex produced a witness that fails concrete re-evaluation")
 
 
-def _assert_no_sat_leaf(net, box, phases, threshold, epsilon):
+def _assert_no_sat_leaf(net, box, phases, threshold):
     """Debug check for pruned branches: no completion has a feasible leaf."""
-    x = first_feasible_completion(net, box, phases, threshold + epsilon)
+    x = first_feasible_completion(net, box, phases, threshold + EPSILON)
     assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
 
 
-def solve(
-    query: Query,
-    timeout: float | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    check_prunes: bool = False,
-) -> Verdict:
+def solve(query: Query, timeout: float | None = None, check_prunes: bool = False) -> Verdict:
     """Decide a query: UNSAT, SAT with witness, or TIMEOUT.
 
     UNSAT and SAT promise what the module docstring states.
@@ -164,15 +161,15 @@ def solve(
                 break
         if conflict:
             if check_prunes:
-                _assert_no_sat_leaf(net, box, phases, c, epsilon)
+                _assert_no_sat_leaf(net, box, phases, c)
             continue
 
         lo_out, hi_out = bm.output_interval
         if hi_out <= c:
             if check_prunes:
-                _assert_no_sat_leaf(net, box, phases, c, epsilon)
+                _assert_no_sat_leaf(net, box, phases, c)
             continue
-        if depth == 0 and lo_out >= c + epsilon:
+        if depth == 0 and lo_out >= c + EPSILON:
             # Every box point is a witness when the sound lower bound clears c.
             mid = box.midpoint()
             if is_witness(net, mid, c):
@@ -187,7 +184,7 @@ def solve(
                 if width > widest:
                     widest, branch = width, (k, int(i))
         if branch is None:
-            x = _solve_leaf(net, box, sym.relu_modes, c, epsilon)
+            x = _solve_leaf(net, box, sym.relu_modes, c)
             if x is not None:
                 return verdict(Status.SAT, x)
             continue

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from reluverify import InputBox, Layer, Network, OutputProperty, Query
+from reluverify import InputBox, Layer, Network, OutputProperty, Query, loop
 
 
 @pytest.fixture
@@ -29,6 +29,28 @@ def net121() -> Network:
 @pytest.fixture
 def query121(net121) -> Query:
     return Query(net121, InputBox([20.0], [21.0]), OutputProperty(800.0))
+
+
+@pytest.fixture
+def abstraction_states(monkeypatch) -> list:
+    """Every abstraction state the refinement loop builds, in order.
+
+    Wraps the loop's own references to the state constructors, which it
+    resolves through its module globals at call time.
+    """
+    trace = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            trace.append(state)
+            return state
+
+        return wrapper
+
+    monkeypatch.setattr(loop, "abstract_to_saturation", recording(loop.abstract_to_saturation))
+    monkeypatch.setattr(loop, "refine_split", recording(loop.refine_split))
+    return trace
 
 
 def random_network(rng, n_inputs=None, n_layers=None, max_width=6, n_outputs=1) -> Network:

@@ -122,7 +122,7 @@ def test_random_merges_over_approximate():
 
 def test_refine_running_example(net121):
     state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
-    refined = refine_split(state, [20.0], k=1)
+    refined = refine_split(state, [20.0])
     assert refined.groups == (((0,), (1,)),)
     assert np.array_equal(refined.network.layers[0].weights, [[10.0], [1.0]])
     assert np.array_equal(refined.network.layers[1].weights, [[3.0, 4.0]])
@@ -138,8 +138,9 @@ def test_refine_exhausts_to_base():
             continue
         box = random_box(rng, net.input_size, nonneg=True)
         x0 = rng.uniform(box.lower, box.upper)
-        refined = refine_split(state, x0, k=10_000)
-        assert refined.excess == 0
+        refined = state
+        while refined.excess > 0:
+            refined = refine_split(refined, x0)
         # Fully refined states reproduce the categorized network bit-exactly.
         for la, lb in zip(refined.network.layers, base.network.layers):
             assert np.array_equal(la.weights, lb.weights)
@@ -155,7 +156,7 @@ def test_refine_monotone_between_base_and_previous():
         state = abstract_to_saturation(base, nonneg_inputs=True)
         while state.excess > 0:
             x0 = rng.uniform(box.lower, box.upper)
-            new = refine_split(state, x0, k=1)
+            new = refine_split(state, x0)
             assert new.excess < state.excess
             X = sample_box(rng, box, 100)
             v_base = forward_batch(base.network, X)[:, 0]
@@ -169,7 +170,7 @@ def test_refine_monotone_between_base_and_previous():
 def test_refine_fully_refined_raises(net121):
     state = identity_state(preprocess(net121), nonneg_inputs=True)
     with pytest.raises(CannotRefineError):
-        refine_split(state, [20.0], k=1)
+        refine_split(state, [20.0])
 
 
 def test_provenance_dump_is_json_serializable(net121):
@@ -186,5 +187,5 @@ def test_refine_targets_most_distorted_neuron(net121):
     # At x0=20 the merged neuron's value is 200; the copy fed by weight 1
     # contributes 20, so it is the one pulled out first.
     state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
-    refined = refine_split(state, [20.0], k=1)
+    refined = refine_split(state, [20.0])
     assert refined.excess == 0  # group of two: one extraction fully splits it

@@ -27,9 +27,7 @@ from reluverify import (
     sbt,
     save_network,
     tighten_property,
-    verify_cegar,
-    verify_cegarette,
-    verify_direct,
+    verify,
 )
 from reluverify.harness import generate_benchmarks
 
@@ -64,12 +62,8 @@ def oracle_suite():
         q = random_query(rng, net=random_oracle_network(rng))
         truth = oracle_verdict(q, epsilon=EPS)
         runs = {}
-        for name, fn in (
-            ("direct", verify_direct),
-            ("cegar", verify_cegar),
-            ("cegarette", verify_cegarette),
-        ):
-            runs[name] = fn(q, epsilon=EPS)
+        for name in ("direct", "cegar", "cegarette"):
+            runs[name] = verify(q, name)
         rows.append((q, truth, runs))
     return rows
 
@@ -119,8 +113,8 @@ def test_criterion_1_running_example(tmp_path):
     assert abs(prop.threshold - 1486.0) <= 1e-9
 
     q = Query(net, box, OutputProperty(800.0))
-    v_t, s_t = verify_cegarette(q)
-    v_g, s_g = verify_cegar(q)
+    v_t, s_t = verify(q, "cegarette")
+    v_g, s_g = verify(q, "cegar")
     assert v_t.status.value == "UNSAT" and s_t.refinement_steps == 0
     assert v_g.status.value == "UNSAT" and s_g.refinement_steps >= 1
     elapsed = time.monotonic() - t0
@@ -146,14 +140,15 @@ def test_criterion_2_oracle_agreement(oracle_suite):
     )
 
 
-def test_criterion_3_over_approximation():
+def test_criterion_3_over_approximation(abstraction_states):
     rng = np.random.default_rng(31337)
     violations = 0
     states_checked = 0
     for _ in range(200):
         q = random_query(rng, net=random_oracle_network(rng))
-        trace = []
-        verify_cegarette(q, state_trace=trace)
+        trace = abstraction_states
+        trace.clear()
+        verify(q, "cegarette")
         X = sample_box(rng, q.input, 100)
         orig = forward_batch(q.network, X)[:, 0]
         for state in trace:

@@ -1,9 +1,11 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from reluverify import save_network, save_query
-from reluverify.cli import main
+from reluverify import save_network, save_query, verify
+from reluverify.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -93,3 +95,29 @@ def test_gen_and_bench_pipeline(tmp_path, capsys):
     assert out.exists()
     printed = capsys.readouterr().out
     assert "cegar_vs_cegarette" in printed
+
+
+def _subcommand_options(name: str) -> set[str]:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+
+
+def test_option_surface():
+    # Every option here has a caller that needs more than one value; the
+    # tolerances, the refinement batch and the generated network shape are
+    # constants of the library, not options.
+    help_ = {"-h", "--help"}
+    assert _subcommand_options("verify") == help_ | {
+        "--net", "--prop", "--mode", "--timeout", "--out"
+    }
+    assert _subcommand_options("bench") == help_ | {
+        "--suite", "--modes", "--timeout", "--jobs", "--out"
+    }
+    assert _subcommand_options("gen") == help_ | {"--seed", "--count", "--out", "--kind"}
+    params = inspect.signature(verify).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("q", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("mode", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("timeout", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    ]

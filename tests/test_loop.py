@@ -11,10 +11,8 @@ from reluverify import (
     Status,
     evaluate,
     verify,
-    verify_cegar,
-    verify_cegarette,
-    verify_direct,
 )
+from reluverify import loop, solver
 from reluverify.loop import is_genuine
 
 from conftest import (
@@ -27,14 +25,14 @@ from conftest import (
 
 
 def test_running_example_direct(query121):
-    v, stats = verify_direct(query121)
+    v, stats = verify(query121, "direct")
     assert v.status is Status.UNSAT
     assert stats.refinement_steps == 0
     assert stats.iterations == 1
 
 
 def test_running_example_cegar(query121):
-    v, stats = verify_cegar(query121)
+    v, stats = verify(query121, "cegar")
     assert v.status is Status.UNSAT
     assert stats.refinement_steps >= 1
     assert stats.thresholds == [800.0] * stats.iterations
@@ -43,7 +41,7 @@ def test_running_example_cegar(query121):
 
 
 def test_running_example_cegarette(query121):
-    v, stats = verify_cegarette(query121)
+    v, stats = verify(query121, "cegarette")
     assert v.status is Status.UNSAT
     assert stats.refinement_steps == 0
     assert stats.iterations == 1
@@ -52,8 +50,8 @@ def test_running_example_cegarette(query121):
 
 def test_point_box_sat_query(net121):
     q = Query(net121, InputBox([21.0], [21.0]), OutputProperty(700.0))
-    for fn in (verify_direct, verify_cegar, verify_cegarette):
-        v, stats = fn(q)
+    for mode in MODES:
+        v, stats = verify(q, mode)
         assert v.status is Status.SAT
         assert evaluate(net121, v.witness)[0] > 700.0 - 1e-6
 
@@ -63,7 +61,7 @@ def test_cegar_zero_refinements_when_abstraction_suffices():
     # already equals the network and the first solve settles it.
     net = Network([Layer([[2.0]], [0.0], True), Layer([[1.0]], [0.0], False)], 1)
     q = Query(net, InputBox([0.0], [1.0]), OutputProperty(5.0))
-    v, stats = verify_cegar(q)
+    v, stats = verify(q, "cegar")
     assert v.status is Status.UNSAT
     assert stats.refinement_steps == 0
 
@@ -71,7 +69,7 @@ def test_cegar_zero_refinements_when_abstraction_suffices():
 def test_cegarette_sat_with_zero_refinements(net121):
     # Lowering the threshold makes the first abstract counterexample genuine.
     q = Query(net121, InputBox([20.0], [21.0]), OutputProperty(600.0))
-    v, stats = verify_cegarette(q)
+    v, stats = verify(q, "cegarette")
     assert v.status is Status.SAT
     assert stats.refinement_steps == 0
     assert evaluate(net121, v.witness)[0] > 600.0 - 1e-6
@@ -96,7 +94,7 @@ def test_stats_shape_and_monotone_sizes():
     rng = np.random.default_rng(82)
     for _ in range(30):
         q = random_query(rng, net=random_oracle_network(rng), nonneg=True)
-        v, stats = verify_cegarette(q)
+        v, stats = verify(q, "cegarette")
         assert len(stats.abstract_hidden_sizes) == stats.iterations
         assert len(stats.thresholds) == stats.iterations
         assert len(stats.solver_times) == stats.iterations
@@ -104,12 +102,13 @@ def test_stats_shape_and_monotone_sizes():
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
 
-def test_states_over_approximate_along_the_run():
+def test_states_over_approximate_along_the_run(abstraction_states):
+    trace = abstraction_states
     rng = np.random.default_rng(83)
     for _ in range(40):
         q = random_query(rng, net=random_oracle_network(rng), nonneg=True)
-        trace = []
-        verify_cegarette(q, state_trace=trace)
+        trace.clear()
+        verify(q, "cegarette")
         assert trace
         X = sample_box(rng, q.input, 100)
         orig = forward_batch(q.network, X)[:, 0]
@@ -119,20 +118,30 @@ def test_states_over_approximate_along_the_run():
 
 
 def test_timeout_propagates_with_partial_stats(query121):
-    v, stats = verify_cegar(query121, timeout=0.0)
+    v, stats = verify(query121, "cegar", timeout=0.0)
     assert v.status is Status.TIMEOUT
     assert stats.iterations >= 1
     assert stats.mode == "cegar"
 
 
-def test_refine_batch_accelerates_cegar():
-    rng = np.random.default_rng(84)
-    for _ in range(10):
-        q = random_query(rng, net=random_oracle_network(rng), nonneg=True)
-        v1, s1 = verify_cegar(q, refine_batch=1)
-        v3, s3 = verify_cegar(q, refine_batch=3)
-        assert v1.status is v3.status
-        assert s3.refinement_steps <= s1.refinement_steps
+def test_timeout_reports_cumulative_nodes(query121, monkeypatch):
+    # The first abstract solve finds a spurious counterexample; the second is
+    # forced to time out.  The verdict must count the nodes of both solves.
+    calls = []
+    real_solve = loop.solve
+
+    def solve_then_time_out(query, **kwargs):
+        calls.append(query)
+        if len(calls) == 2:
+            kwargs["timeout"] = 0.0
+        return real_solve(query, **kwargs)
+
+    monkeypatch.setattr(loop, "solve", solve_then_time_out)
+    v, stats = verify(query121, "cegar")
+    assert len(calls) == 2 and stats.refinement_steps == 1
+    assert v.status is Status.TIMEOUT
+    assert stats.solver_nodes >= 1
+    assert v.nodes == stats.solver_nodes
 
 
 def test_unknown_mode_rejected(query121):
@@ -165,7 +174,7 @@ def test_near_threshold_cross_mode_agreement():
     # point reaches c + epsilon, so a SAT witness may sit in (c, c + epsilon)
     # where another mode's leaf LP is infeasible.  Outside that band a SAT
     # next to an UNSAT is a contradiction.
-    eps = 1e-6
+    eps = solver.EPSILON
     rng = np.random.default_rng(85)
     seen = set()
     for _ in range(60):
@@ -173,7 +182,7 @@ def test_near_threshold_cross_mode_agreement():
         ys = forward_batch(q.network, sample_box(rng, q.input, 512))[:, 0]
         c = float(ys.max() + rng.uniform(-eps, eps))
         q = Query(q.network, q.input, OutputProperty(c))
-        runs = {mode: verify(q, mode, epsilon=eps)[0] for mode in MODES}
+        runs = {mode: verify(q, mode)[0] for mode in MODES}
         margins = []
         for v in runs.values():
             seen.add(v.status)

@@ -77,6 +77,6 @@ def test_threshold_relaxes_back_after_full_refinement(net121):
     state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
     tight = tighten_property(state.network, net121, box, OutputProperty(800.0))
     assert tight.threshold > 800.0
-    refined = refine_split(state, [20.0], k=1)
+    refined = refine_split(state, [20.0])
     back = tighten_property(refined.network, net121, box, OutputProperty(800.0))
     assert back == OutputProperty(800.0)
