@@ -11,9 +11,7 @@ from .abstraction import (
     refine_split,
 )
 from .bounds import (
-    BoundMethod,
     BoundsMap,
-    SymbolicBoundsMap,
     ibp,
     output_gap,
     sbt,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractionState",
     "BenchmarkRecord",
-    "BoundMethod",
     "BoundsMap",
     "CannotRefineError",
     "Category",
@@ -69,7 +66,6 @@ __all__ = [
     "RunStats",
     "Sign",
     "Status",
-    "SymbolicBoundsMap",
     "ValidationError",
     "Verdict",
     "abstract_to_saturation",

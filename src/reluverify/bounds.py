@@ -1,11 +1,14 @@
-"""Sound output bounds over an input box (interval propagation and symbolic
-bound tightening), and the property tightening derived from them.
+"""Sound output bounds over an input box by symbolic bound tightening
+(SBT), and the property tightening derived from them.
 
-IBP pushes concrete intervals forward layer by layer.  SBT instead carries
-one affine lower and one affine upper expression (over the raw inputs) per
-neuron; stably-active ReLUs pass expressions through, stably-inactive ones
-zero them, and unstable ones fall back to [0, concrete upper].  SBT's
-concrete intervals are contained in IBP's on every neuron.
+SBT carries one affine lower and one affine upper expression (over the raw
+inputs) per neuron; stably-active ReLUs pass expressions through,
+stably-inactive ones zero them, and unstable ones fall back to
+[0, concrete upper].  SBT is the one bound the library computes: the
+solver's node bounds, ``output_bounds``, ``output_gap`` and
+``tighten_property`` all use it.  ``ibp`` (concrete intervals pushed
+forward layer by layer) is kept as the reference SBT is checked against:
+SBT's intervals are contained in IBP's on every neuron.
 
 SBT accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
@@ -20,7 +23,6 @@ against ``y > c``: an UNSAT answer for the tightened query carries over.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +30,10 @@ import numpy as np
 from .network import InputBox, Network, OutputProperty
 
 
-class BoundMethod(str, enum.Enum):
-    IBP = "ibp"
-    SBT = "sbt"
-
-
 @dataclass(frozen=True, eq=False)
 class BoundsMap:
     """Per-layer [lo, hi] arrays for pre- and post-activation values."""
 
-    input_lower: np.ndarray
-    input_upper: np.ndarray
     pre: tuple[tuple[np.ndarray, np.ndarray], ...]
     post: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -53,14 +48,6 @@ class BoundsMap:
             if np.any(blo < alo - slack) or np.any(bhi > ahi + slack):
                 return False
         return True
-
-    def to_dict(self) -> dict:
-        """JSON-friendly per-neuron bound dump for debugging."""
-        return {
-            "input": [self.input_lower.tolist(), self.input_upper.tolist()],
-            "pre": [[lo.tolist(), hi.tolist()] for lo, hi in self.pre],
-            "post": [[lo.tolist(), hi.tolist()] for lo, hi in self.post],
-        }
 
 
 def ibp(net: Network, box: InputBox) -> BoundsMap:
@@ -80,23 +67,7 @@ def ibp(net: Network, box: InputBox) -> BoundsMap:
         else:
             lo, hi = plo, phi
         post.append((lo, hi))
-    return BoundsMap(box.lower, box.upper, tuple(pre), tuple(post))
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolicBoundsMap:
-    """Affine post-activation lower/upper expressions per neuron, plus
-    concretized intervals.
-
-    Expressions are (coefficients over inputs, constant).  ``relu_modes``
-    records how each hidden neuron was resolved: +1 expressions passed
-    through (active), -1 zeroed (inactive), 0 relaxed (unstable).
-    """
-
-    post_lower: tuple[tuple[np.ndarray, np.ndarray], ...]
-    post_upper: tuple[tuple[np.ndarray, np.ndarray], ...]
-    relu_modes: tuple[np.ndarray, ...]
-    concrete: BoundsMap
+    return BoundsMap(tuple(pre), tuple(post))
 
 
 def _concrete_lo(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarray:
@@ -107,15 +78,20 @@ def _concrete_hi(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarr
     return np.maximum(coef, 0.0) @ box.upper + np.minimum(coef, 0.0) @ box.lower + const
 
 
-def sbt(net: Network, box: InputBox, phases=None) -> tuple[SymbolicBoundsMap, BoundsMap]:
-    """Symbolic bound tightening; returns (expressions, concrete bounds)."""
+def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
+    """Symbolic bound tightening; returns (relu_modes, concrete bounds).
+
+    ``relu_modes`` records how each hidden neuron was resolved: +1
+    expressions passed through (active), -1 zeroed (inactive), 0 relaxed
+    (unstable).
+    """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
     n_in = net.input_size
     # Current post-activation expressions for the previous layer.
     Lc, Lk = np.eye(n_in), np.zeros(n_in)
     Uc, Uk = np.eye(n_in), np.zeros(n_in)
-    post_l, post_u, modes = [], [], []
+    modes = []
     pre_iv, post_iv = [], []
     for k, layer in enumerate(net.layers):
         W, b = layer.weights, layer.biases
@@ -147,47 +123,32 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[SymbolicBoundsMap, Bo
         else:
             Lc, Lk, Uc, Uk = pLc, pLk, pUc, pUk
             qlo, qhi = plo, phi
-        post_l.append((Lc, Lk))
-        post_u.append((Uc, Uk))
         post_iv.append((qlo, qhi))
-    concrete = BoundsMap(box.lower, box.upper, tuple(pre_iv), tuple(post_iv))
-    sym = SymbolicBoundsMap(tuple(post_l), tuple(post_u), tuple(modes), concrete)
-    return sym, concrete
+    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv))
 
 
-def output_bounds(net: Network, box: InputBox, method: BoundMethod) -> tuple[float, float]:
+def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:
     """Sound [lo, hi] of the first output over the box: the one bound entry point."""
-    if method == BoundMethod.IBP:
-        return ibp(net, box).output_interval
-    if method == BoundMethod.SBT:
-        return sbt(net, box)[1].output_interval
-    raise ValueError(f"unknown bound method {method!r}")
+    return sbt(net, box)[1].output_interval
 
 
-def output_gap(
-    abstract: Network, original: Network, box: InputBox, method: BoundMethod = BoundMethod.SBT
-) -> float:
+def output_gap(abstract: Network, original: Network, box: InputBox) -> float:
     """Certified minimal output gap d >= 0 between an abstraction and its
     source: original(x) + d <= abstract(x) for every x in the box.
 
-    Computed as max(0, lower(abstract) - upper(original)) with the chosen
-    bound method.
+    Computed as max(0, lower(abstract) - upper(original)).
     """
     if abstract.output_size != 1 or original.output_size != 1:
         raise ValueError("output_gap requires single-output networks")
     if abstract.input_size != original.input_size:
         raise ValueError("networks disagree on input size")
-    l_abs = output_bounds(abstract, box, method)[0]
-    u_orig = output_bounds(original, box, method)[1]
+    l_abs = output_bounds(abstract, box)[0]
+    u_orig = output_bounds(original, box)[1]
     return max(0.0, l_abs - u_orig)
 
 
 def tighten_property(
-    abstract: Network,
-    original: Network,
-    box: InputBox,
-    prop: OutputProperty,
-    method: BoundMethod = BoundMethod.SBT,
+    abstract: Network, original: Network, box: InputBox, prop: OutputProperty
 ) -> OutputProperty:
     """Return the tightened property ``y > c + d`` with d = output_gap(...)."""
-    return OutputProperty(prop.threshold + output_gap(abstract, original, box, method))
+    return OutputProperty(prop.threshold + output_gap(abstract, original, box))

@@ -157,13 +157,3 @@ def check_category_invariants(cat: CategorizedNetwork) -> None:
                 ok = (col[t] > 0 and same) or (col[t] < 0 and not same)
                 assert ok, f"neuron ({k},{j}) {c}: edge {col[t]} to {tdirs[t].value} target"
 
-
-__all__ = [
-    "Sign",
-    "Direction",
-    "Category",
-    "CATEGORY_ORDER",
-    "CategorizedNetwork",
-    "preprocess",
-    "check_category_invariants",
-]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundMethod, output_bounds
+from .bounds import output_bounds
 from .formats import load_network, load_query, save_network, save_query
 from .loop import verify
 from .network import (
@@ -127,7 +127,7 @@ def _random_network(rng, n_inputs, widths, n_outputs, scale="uniform", domain=No
     return Network(layers, n_inputs, domain=domain)
 
 
-def _gen_oracle_query(rng) -> tuple[Network, Query, str]:
+def _gen_oracle_query(rng) -> tuple[Query, str]:
     n_inputs = int(rng.integers(2, 4))
     n_layers = int(rng.integers(1, 4))
     widths = []
@@ -150,7 +150,7 @@ def _gen_oracle_query(rng) -> tuple[Network, Query, str]:
     else:
         c = float(ys.max() + 0.3 * spread)
     q = Query(net, box, OutputProperty(c))
-    return net, q, exhaustive_verdict(q)
+    return q, exhaustive_verdict(q)
 
 
 def _certified_radius(net: Network, center, label: int):
@@ -159,7 +159,7 @@ def _certified_radius(net: Network, center, label: int):
     def certified(delta: float) -> bool:
         spec = RobustnessSpec(net, center, delta, label)
         return all(
-            output_bounds(rq.network, rq.input, BoundMethod.SBT)[1] <= 0.0
+            output_bounds(rq.network, rq.input)[1] <= 0.0
             for rq in reduce_to_single_output(spec)
         )
 
@@ -177,7 +177,7 @@ def _certified_radius(net: Network, center, label: int):
     return lo
 
 
-def _gen_robust_queries(rng) -> list[tuple[Network, Query]]:
+def _gen_robust_queries(rng) -> list[Query]:
     """Reduced robustness queries, each provably UNSAT via symbolic bounds."""
     n_inputs = int(rng.integers(4, 7))
     n_outputs = int(rng.integers(2, 4))
@@ -196,7 +196,7 @@ def _gen_robust_queries(rng) -> list[tuple[Network, Query]]:
         return []
     delta = float(rng.uniform(0.25, 0.75)) * delta_max
     spec = RobustnessSpec(net, center, delta, label)
-    return [(rq.network, rq) for rq in reduce_to_single_output(spec)]
+    return reduce_to_single_output(spec)
 
 
 def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") -> dict:
@@ -210,26 +210,26 @@ def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") ->
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    pending: list[tuple[Network, Query, str | None, str | None]] = []
+    pending: list[tuple[Query, str | None, str | None]] = []
     guard = 0
     while len(pending) < count:
         guard += 1
         if guard > 100 * count:
             raise RuntimeError("benchmark generation failed to converge")
         if kind == "oracle":
-            net, q, label = _gen_oracle_query(rng)
-            pending.append((net, q, label, "exhaustive"))
+            q, label = _gen_oracle_query(rng)
+            pending.append((q, label, "exhaustive"))
         elif kind == "robust":
-            for net, q in _gen_robust_queries(rng):
-                pending.append((net, q, "UNSAT", "certified"))
+            for q in _gen_robust_queries(rng):
+                pending.append((q, "UNSAT", "certified"))
         else:
             raise ValueError(f"unknown benchmark kind {kind!r}")
 
-    for i, (net, q, label, source) in enumerate(pending[:count]):
+    for i, (q, label, source) in enumerate(pending[:count]):
         qid = f"q{i:04d}"
         qdir = os.path.join(out_dir, qid)
         os.makedirs(qdir, exist_ok=True)
-        save_network(net, os.path.join(qdir, "net.json"))
+        save_network(q.network, os.path.join(qdir, "net.json"))
         save_query(q, os.path.join(qdir, "query.json"))
         entries.append(
             {
@@ -238,7 +238,7 @@ def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") ->
                 "query": f"{qid}/query.json",
                 "label": label,
                 "label_source": source,
-                "hidden_sizes": net.hidden_sizes,
+                "hidden_sizes": q.network.hidden_sizes,
             }
         )
     manifest = {"kind": kind, "seed": seed, "count": len(entries), "queries": entries}

@@ -13,7 +13,7 @@ recomputed from scratch after every refinement.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,7 @@ class RunStats:
     initial_excess: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "refinement_steps": self.refinement_steps,
-            "abstract_hidden_sizes": self.abstract_hidden_sizes,
-            "thresholds": self.thresholds,
-            "solver_times": self.solver_times,
-            "solver_nodes": self.solver_nodes,
-            "total_time": self.total_time,
-            "initial_excess": self.initial_excess,
-        }
+        return asdict(self)
 
 
 def is_genuine(q: Query, x0) -> bool:

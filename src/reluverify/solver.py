@@ -151,7 +151,7 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
             return verdict(Status.TIMEOUT)
         phases, depth = stack.pop()
         nodes += 1
-        sym, bm = sbt(net, box, phases)
+        relu_modes, bm = sbt(net, box, phases)
 
         conflict = False
         for k, ph in enumerate(phases):
@@ -177,14 +177,14 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
 
         branch = None
         widest = -np.inf
-        for k, mode in enumerate(sym.relu_modes):
+        for k, mode in enumerate(relu_modes):
             plo, phi = bm.pre[k]
             for i in np.flatnonzero(mode == UNKNOWN):
                 width = phi[i] - plo[i]
                 if width > widest:
                     widest, branch = width, (k, int(i))
         if branch is None:
-            x = _solve_leaf(net, box, sym.relu_modes, c)
+            x = _solve_leaf(net, box, relu_modes, c)
             if x is not None:
                 return verdict(Status.SAT, x)
             continue

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from reluverify import (
-    BoundMethod,
     InputBox,
     OutputProperty,
     Query,
@@ -107,9 +106,9 @@ def test_criterion_1_running_example(tmp_path):
     lo_a, hi_a = ibp(state.network, box).output_interval
     assert abs(lo_a - 1400.0) <= 1e-9 and abs(hi_a - 1470.0) <= 1e-9
 
-    d = output_gap(state.network, net, box, BoundMethod.IBP)
+    d = output_gap(state.network, net, box)
     assert abs(d - 686.0) <= 1e-9
-    prop = tighten_property(state.network, net, box, OutputProperty(800.0), BoundMethod.IBP)
+    prop = tighten_property(state.network, net, box, OutputProperty(800.0))
     assert abs(prop.threshold - 1486.0) <= 1e-9
 
     q = Query(net, box, OutputProperty(800.0))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reluverify import (
-    BoundMethod,
     InputBox,
     Layer,
     Network,
@@ -59,19 +58,16 @@ def test_ibp_monotone_in_box():
 
 def test_sbt_stable_network_is_exact(net121):
     box = InputBox([20.0], [21.0])
-    sym, bm = sbt(net121, box)
-    assert np.all(sym.relu_modes[0] == 1)  # both ReLUs stably active
+    modes, bm = sbt(net121, box)
+    assert np.all(modes[0] == 1)  # both ReLUs stably active
     assert bm.output_interval == pytest.approx((680.0, 714.0), abs=1e-9)
-    # Exact affine bounds: lower and upper expressions coincide.
-    (lc, lk), (uc, uk) = sym.post_lower[-1], sym.post_upper[-1]
-    assert np.array_equal(lc, uc) and np.array_equal(lk, uk)
 
 
 def test_sbt_unstable_relu():
     net = Network([Layer([[1.0]], [0.0], True), Layer([[1.0]], [0.0], False)], 1)
     box = InputBox([-1.0], [1.0])
-    sym, bm = sbt(net, box)
-    assert sym.relu_modes[0][0] == 0
+    modes, bm = sbt(net, box)
+    assert modes[0][0] == 0
     assert bm.post[0][0][0] == pytest.approx(0.0, abs=0)
     assert bm.post[0][1][0] == pytest.approx(1.0, abs=0)
     assert bm.output_interval == pytest.approx((0.0, 1.0), abs=0)
@@ -91,25 +87,14 @@ def test_sbt_contained_in_ibp_and_sound():
             assert np.all(ys >= lo - 1e-9) and np.all(ys <= hi + 1e-9)
 
 
-def test_bounds_dump_is_json_serializable(net121):
-    import json
-
-    bm = ibp(net121, InputBox([20.0], [21.0]))
-    doc = json.loads(json.dumps(bm.to_dict()))
-    assert doc["pre"][0] == [[200.0, 20.0], [210.0, 21.0]]
-    assert doc["post"][1] == [[680.0], [714.0]]
-
-
 def test_output_gap_running_example(net121, abstract121):
     box = InputBox([20.0], [21.0])
-    assert output_gap(abstract121, net121, box, BoundMethod.IBP) == pytest.approx(686.0, abs=1e-9)
-    assert output_gap(abstract121, net121, box, BoundMethod.SBT) == pytest.approx(686.0, abs=1e-9)
+    assert output_gap(abstract121, net121, box) == pytest.approx(686.0, abs=1e-9)
 
 
 def test_output_gap_identical_networks(net121):
     box = InputBox([20.0], [21.0])
-    assert output_gap(net121, net121, box, BoundMethod.IBP) == 0.0
-    assert output_gap(net121, net121, box, BoundMethod.SBT) == 0.0
+    assert output_gap(net121, net121, box) == 0.0
 
 
 def test_output_gap_pointwise_guarantee():
@@ -118,10 +103,9 @@ def test_output_gap_pointwise_guarantee():
         net = random_network(rng)
         abstract = abstract_to_saturation(preprocess(net), nonneg_inputs=True).network
         box = random_box(rng, net.input_size, nonneg=True)
-        for method in (BoundMethod.IBP, BoundMethod.SBT):
-            d = output_gap(abstract, net, box, method)
-            assert d >= 0.0
-            X = sample_box(rng, box, 1000)
-            orig = forward_batch(net, X)[:, 0]
-            abst = forward_batch(abstract, X)[:, 0]
-            assert np.all(orig + d <= abst + 1e-9)
+        d = output_gap(abstract, net, box)
+        assert d >= 0.0
+        X = sample_box(rng, box, 1000)
+        orig = forward_batch(net, X)[:, 0]
+        abst = forward_batch(abstract, X)[:, 0]
+        assert np.all(orig + d <= abst + 1e-9)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import reluverify
 from reluverify import save_network, save_query, verify
+from reluverify.bounds import output_bounds, output_gap, tighten_property
 from reluverify.cli import _build_parser, main
 
 
@@ -103,6 +105,14 @@ def _subcommand_options(name: str) -> set[str]:
     return {opt for action in sub.choices[name]._actions for opt in action.option_strings}
 
 
+def _signature(fn) -> list[tuple]:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def _required(*names: str) -> list[tuple]:
+    return [(n, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty) for n in names]
+
+
 def test_option_surface():
     # Every option here has a caller that needs more than one value; the
     # tolerances, the refinement batch and the generated network shape are
@@ -115,9 +125,12 @@ def test_option_surface():
         "--suite", "--modes", "--timeout", "--jobs", "--out"
     }
     assert _subcommand_options("gen") == help_ | {"--seed", "--count", "--out", "--kind"}
-    params = inspect.signature(verify).parameters.values()
-    assert [(p.name, p.kind, p.default) for p in params] == [
-        ("q", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("mode", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
-        ("timeout", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    assert _signature(verify) == _required("q", "mode") + [
+        ("timeout", inspect.Parameter.POSITIONAL_OR_KEYWORD, None)
     ]
+    # SBT is the one bound: no method selector on any bound entry point.
+    assert _signature(output_bounds) == _required("net", "box")
+    assert _signature(output_gap) == _required("abstract", "original", "box")
+    assert _signature(tighten_property) == _required("abstract", "original", "box", "prop")
+    for gone in ("BoundMethod", "SymbolicBoundsMap"):
+        assert not hasattr(reluverify, gone) and gone not in reluverify.__all__

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from reluverify import (
-    BoundMethod,
     Layer,
     Network,
     RobustnessSpec,
@@ -158,7 +157,7 @@ def test_generate_robust_suite_certified_unsat(tmp_path):
         assert 2 <= len(entry["hidden_sizes"]) <= 4
         net = load_network(suite / entry["net"])
         q = load_query(suite / entry["query"], net)
-        assert output_bounds(q.network, q.input, BoundMethod.SBT)[1] <= 0.0
+        assert output_bounds(q.network, q.input)[1] <= 0.0
 
 
 def test_run_bench_bookkeeping(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reluverify import (
-    BoundMethod,
     InputBox,
     OutputProperty,
     abstract_to_saturation,
@@ -18,9 +17,8 @@ from conftest import forward_batch, random_box, random_network, sample_box
 def test_running_example_threshold(net121):
     abstract = abstract_to_saturation(preprocess(net121), nonneg_inputs=True).network
     box = InputBox([20.0], [21.0])
-    for method in (BoundMethod.IBP, BoundMethod.SBT):
-        prop = tighten_property(abstract, net121, box, OutputProperty(800.0), method)
-        assert prop.threshold == pytest.approx(1486.0, abs=1e-9)
+    prop = tighten_property(abstract, net121, box, OutputProperty(800.0))
+    assert prop.threshold == pytest.approx(1486.0, abs=1e-9)
 
 
 def test_identical_networks_keep_threshold(net121):
