@@ -11,9 +11,13 @@ those groups by a fixed aggregation rule, applied per weight matrix:
 Collapsing target rows before summing source columns matters: it makes the
 derived weights monotone under partition refinement (splitting any group
 weakly lowers the network's output everywhere), not just sound against the
-base.  Because every state is re-derived from its groups, merging and
-splitting are order-independent and a fully-refined state reproduces the
-categorized network bit-exactly.
+base.  Every state's network is a function of its groups alone, so merging
+and splitting are order-independent and a fully-refined state reproduces
+the categorized network bit-exactly.  ``_aggregate`` derives it from
+scratch (for saturation and merges, and as the reference in the tests);
+``refine_split`` re-derives only what a split touches, the split layer's
+two new rows and the next layer's two new columns, with the same
+expressions, and shares every other row, column and layer with its parent.
 
 The aggregation over-approximates the base output for all inputs drawn from
 the relevant box.  Merging neurons of the first hidden layer additionally
@@ -37,30 +41,39 @@ class CannotRefineError(RuntimeError):
     """Raised when every group is a singleton and no split is possible."""
 
 
+def _collapse(base: CategorizedNetwork, k: int, layer_groups, cols=slice(None)):
+    """Rows of base layer ``k`` (restricted to ``cols``) collapsed per target
+    group: the per-source max for inc groups, the min for dec groups."""
+    W, b = base.network.layers[k].weights[:, cols], base.network.layers[k].biases
+    rows, biases = [], []
+    for g in layer_groups:
+        idx = list(g)
+        sub, bsub = W[idx, :], b[idx]
+        if base.categories[k][g[0]].direction is Direction.INC:
+            rows.append(sub.max(axis=0))
+            biases.append(bsub.max())
+        else:
+            rows.append(sub.min(axis=0))
+            biases.append(bsub.min())
+    return np.vstack(rows), np.array(biases)
+
+
+def _sum_columns(W: np.ndarray, source_groups) -> np.ndarray:
+    return np.stack([W[:, list(h)].sum(axis=1) for h in source_groups], axis=1)
+
+
 def _aggregate(base: CategorizedNetwork, groups: Groups) -> Network:
+    """The abstract network of ``groups``, derived from scratch."""
     net = base.network
     n = len(net.layers)
     layers = []
-    prev_groups = None  # None: sources are raw inputs, never grouped
     for k in range(n):
-        W, b = net.layers[k].weights, net.layers[k].biases
         if k < n - 1:
-            # Collapse target rows first (per original source neuron).
-            rows, biases = [], []
-            for g in groups[k]:
-                idx = list(g)
-                sub, bsub = W[idx, :], b[idx]
-                if base.categories[k][g[0]].direction is Direction.INC:
-                    rows.append(sub.max(axis=0))
-                    biases.append(bsub.max())
-                else:
-                    rows.append(sub.min(axis=0))
-                    biases.append(bsub.min())
-            W, b = np.vstack(rows), np.array(biases)
-        if prev_groups is not None:
-            W = np.stack([W[:, list(h)].sum(axis=1) for h in prev_groups], axis=1)
-        if k < n - 1:
-            prev_groups = groups[k]
+            W, b = _collapse(base, k, groups[k])
+        else:
+            W, b = net.layers[k].weights, net.layers[k].biases
+        if k > 0:
+            W = _sum_columns(W, groups[k - 1])
         layers.append(Layer(W, b, relu=k < n - 1))
     return Network(layers, net.input_size, domain=net.domain)
 
@@ -195,8 +208,30 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
     if x0.shape != (state.base.network.input_size,):
         raise ValueError("x0 has the wrong dimension")
 
-    _, layer, member, gi = min(_split_scores(state, x0), key=lambda it: (-it[0], it[1], it[2]))
-    groups = [list(layer_groups) for layer_groups in state.groups]
-    rest = tuple(m for m in groups[layer][gi] if m != member)
-    groups[layer][gi : gi + 1] = [(member,), rest]
-    return _make_state(state.base, groups, state.nonneg_inputs)
+    _, L, member, gi = min(_split_scores(state, x0), key=lambda it: (-it[0], it[1], it[2]))
+    old_groups = state.groups[L]
+    split = ((member,), tuple(m for m in old_groups[gi] if m != member))
+    groups = list(state.groups)
+    groups[L] = _canonical(old_groups[:gi] + split + old_groups[gi + 1 :])
+    # Where each new group's row (layer L) and column (layer L+1) comes from:
+    # the parent's, or one of the two fresh ones appended after them.
+    source = {g: i for i, g in enumerate(old_groups)}
+    source.update({g: len(old_groups) + t for t, g in enumerate(split)})
+    order = [source[g] for g in groups[L]]
+
+    base, layers = state.base, list(state.network.layers)
+    rows, biases = _collapse(base, L, split)
+    if L > 0:
+        rows = _sum_columns(rows, groups[L - 1])
+    W, b = np.concatenate([layers[L].weights, rows]), np.concatenate([layers[L].biases, biases])
+    layers[L] = Layer(W.take(order, axis=0), b.take(order), relu=True)
+    cols = list(split[0] + split[1])
+    if L + 1 < len(layers) - 1:
+        W, _ = _collapse(base, L + 1, groups[L + 1], cols)
+    else:
+        W = base.network.layers[L + 1].weights[:, cols]
+    W = _sum_columns(W, (range(1), range(1, len(cols))))
+    W = np.concatenate([layers[L + 1].weights, W], axis=1)
+    layers[L + 1] = Layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
+    network = Network(layers, state.network.input_size, domain=state.network.domain)
+    return AbstractionState(base, tuple(groups), state.nonneg_inputs, network)

@@ -3,8 +3,10 @@
 Solves "find x with A x <= b, lo <= x <= hi" by shifting to non-negative
 variables, adding slacks plus artificials for rows violated at the origin,
 and minimizing the artificial sum with Bland's rule (which excludes
-cycling).  Floating-point tableau only; intended for the small, well-scaled
-systems produced by fixed-phase network branches.
+cycling).  Each pivot is vectorised: the entering column is the lowest index
+with a negative reduced cost, still Bland's rule, and the elimination is one
+rank-1 update of the tableau.  Floating-point tableau only; intended for the
+small, well-scaled systems produced by fixed-phase network branches.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ def feasible_point(
     T = np.zeros((m, n + m + n_art + 1))
     T[:, :n] = rows
     T[:, n : n + m] = slack
-    for j, r in enumerate(art_rows):
-        T[r, n + m + j] = 1.0
+    T[art_rows, n + m + np.arange(n_art)] = 1.0
     T[:, -1] = rhs
 
     basis = np.empty(m, dtype=int)
@@ -73,13 +74,10 @@ def feasible_point(
     for _ in range(200 * (m + n + 10)):
         # Reduced costs: c_j - c_B . B^-1 a_j; rows are already B^-1 a.
         z = cost[: n + m + n_art] - cost[basis] @ T[:, :-1]
-        entering = -1
-        for j in range(z.shape[0]):  # Bland: lowest eligible index
-            if z[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(z < -tol)
+        if eligible.size == 0:
             break
+        entering = eligible[0]  # Bland: lowest eligible index
         col = T[:, entering]
         ratios = np.full(m, np.inf)
         ok = col > tol
@@ -89,11 +87,13 @@ def feasible_point(
             raise SimplexError("phase-I unbounded; tableau inconsistent")
         cand = np.flatnonzero(ratios <= best + tol)
         leaving = cand[np.argmin(basis[cand])]  # Bland tie-break
-        piv = T[leaving, entering]
-        T[leaving] /= piv
-        for r in range(m):
-            if r != leaving and T[r, entering] != 0.0:
-                T[r] -= T[r, entering] * T[leaving]
+        T[leaving] /= T[leaving, entering]
+        # Rank-1 elimination over the rows with a nonzero factor; the others
+        # are left untouched, so no zero's sign flips.
+        factor = T[:, entering].copy()
+        factor[leaving] = 0.0
+        rows_nz = np.flatnonzero(factor)
+        T[rows_nz] -= np.outer(factor[rows_nz], T[leaving])
         basis[leaving] = entering
     else:
         raise SimplexError("simplex iteration cap exceeded")
@@ -102,7 +102,6 @@ def feasible_point(
     if obj > feas_tol:
         return None
     u = np.zeros(n)
-    for r, bv in enumerate(basis):
-        if bv < n:
-            u[bv] = T[r, -1]
+    in_basis = basis < n
+    u[basis[in_basis]] = T[in_basis, -1]
     return lo + np.clip(u, 0.0, hi - lo)

@@ -12,6 +12,8 @@ from reluverify import (
     refine_split,
 )
 
+from reluverify.abstraction import _aggregate
+
 from conftest import forward_batch, random_box, random_network, sample_box
 
 
@@ -145,6 +147,34 @@ def test_refine_exhausts_to_base():
         for la, lb in zip(refined.network.layers, base.network.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.biases, lb.biases)
+
+
+def test_refine_splices_only_the_two_touched_layers():
+    # Each split must equal the from-scratch aggregation bit for bit and keep
+    # every other Layer object of the parent.
+    rng = np.random.default_rng(35)
+    split_layers = set()
+    for trial in range(40):
+        net = random_network(rng, n_layers=int(rng.integers(1, 5)), max_width=8)
+        base = preprocess(net)
+        nonneg = trial % 4 != 3
+        box = random_box(rng, net.input_size, nonneg=nonneg)
+        state = abstract_to_saturation(base, nonneg_inputs=nonneg)
+        last = len(net.layers) - 2
+        while state.excess > 0:
+            new = refine_split(state, rng.uniform(box.lower, box.upper))
+            (L,) = [k for k in range(last + 1) if new.groups[k] != state.groups[k]]
+            split_layers.add((L == 0, L == last))
+            ref = _aggregate(new.base, new.groups)
+            for k, (got, want) in enumerate(zip(new.network.layers, ref.layers)):
+                assert np.array_equal(got.weights, want.weights), (trial, L, k)
+                assert np.array_equal(got.biases, want.biases), (trial, L, k)
+                assert got.relu == want.relu
+                if k not in (L, L + 1):
+                    assert got is state.network.layers[k]
+            state = new
+    # First-hidden-layer, last-hidden-layer (output columns) and inner splits.
+    assert {(True, False), (False, True), (False, False)} <= split_layers
 
 
 def test_refine_monotone_between_base_and_previous():
