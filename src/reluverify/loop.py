@@ -56,9 +56,9 @@ def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdic
     def remaining():
         return None if timeout is None else timeout - (time.monotonic() - start)
 
-    def finish(status: Status, witness=None, solve_time: float = 0.0) -> tuple[Verdict, RunStats]:
+    def finish(status: Status, witness=None) -> tuple[Verdict, RunStats]:
         stats.total_time = time.monotonic() - start
-        return Verdict(status, witness, stats.solver_nodes, solve_time), stats
+        return Verdict(status, witness, stats.solver_nodes, stats.total_time), stats
 
     base = preprocess(q.network)
     nonneg = bool(np.all(q.input.lower >= 0.0))
@@ -87,10 +87,10 @@ def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdic
         stats.solver_nodes += v.nodes
 
         if v.status is not Status.SAT:
-            return finish(v.status, None, v.time)
+            return finish(v.status)
         x0 = v.witness
         if is_genuine(q, x0):
-            return finish(Status.SAT, x0, v.time)
+            return finish(Status.SAT, x0)
         state = refine_split(state, x0)
         stats.refinement_steps += 1
 

@@ -6,6 +6,13 @@ node with phase-aware symbolic tightening, branches whose output upper
 bound cannot exceed the threshold are pruned, and fully-decided leaves
 reduce to a linear feasibility problem solved with a dense simplex.
 
+A branch fixes the phase of a whole twin class: the neurons of the branch
+layer whose incoming weights and bias equal the chosen neuron's exactly
+(``categorize.preprocess`` makes such copies).  This is sound because twins
+have the same pre-activation at every input, so a mixed-phase region is
+empty except where that pre-activation is 0, and there both phases give 0.
+Networks without twins branch on one neuron at a time.
+
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
 * ``EPSILON`` is the decision granularity of the strict property ``y > c``.
@@ -50,6 +57,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
+    """A decision; ``nodes`` and ``time`` cover the whole run, every solve
+    of a refinement loop included."""
+
     status: Status
     witness: np.ndarray | None
     nodes: int
@@ -189,9 +199,11 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
                 return verdict(Status.SAT, x)
             continue
         k, i = branch
+        W, b = net.layers[k].weights, net.layers[k].biases
+        twins = np.flatnonzero((W == W[i]).all(axis=1) & (b == b[i]))
         for val in (INACTIVE, ACTIVE):  # pushed inactive first; active explored first
             child = tuple(ph.copy() for ph in phases)
-            child[k][i] = val
+            child[k][twins] = val
             stack.append((child, depth + 1))
 
     return verdict(Status.UNSAT)

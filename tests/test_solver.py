@@ -10,10 +10,14 @@ from reluverify import (
     Status,
     abstract_to_saturation,
     evaluate,
+    exhaustive_verdict,
+    generate_benchmarks,
+    load_network,
+    load_query,
     preprocess,
     solve,
 )
-from reluverify.solver import _leaf_rows
+from reluverify.solver import EPSILON, _leaf_rows
 
 from conftest import oracle_verdict, random_oracle_network, random_query, random_network
 
@@ -62,13 +66,17 @@ def test_agreement_with_exhaustive_oracle():
     n_sat = n_unsat = 0
     for _ in range(120):
         q = random_query(rng, net=random_oracle_network(rng))
-        v = solve(q)
         truth = oracle_verdict(q)
-        assert v.status.value == truth
-        if v.status is Status.SAT:
+        # The split network computes the same function with twin neurons.
+        twins = Query(preprocess(q.network).network, q.input, q.output)
+        for query in (q, twins):
+            v = solve(query)
+            assert v.status.value == truth
+            if v.status is Status.SAT:
+                assert q.input.contains(v.witness)
+                assert evaluate(q.network, v.witness)[0] > q.output.threshold - 1e-9
+        if truth == "SAT":
             n_sat += 1
-            assert q.input.contains(v.witness)
-            assert evaluate(q.network, v.witness)[0] > q.output.threshold - 1e-9
         else:
             n_unsat += 1
     assert n_sat > 10 and n_unsat > 10  # the suite genuinely mixes verdicts
@@ -79,8 +87,48 @@ def test_pruned_branches_contain_no_sat_leaf():
     for _ in range(30):
         net = random_network(rng, n_layers=2, max_width=3)
         q = random_query(rng, net=net)
-        v = solve(q, check_prunes=True)  # asserts internally on every prune
-        assert v.status.value == oracle_verdict(q)
+        truth = oracle_verdict(q)
+        twins = Query(preprocess(net).network, q.input, q.output)
+        for query in (q, twins):
+            v = solve(query, check_prunes=True)  # asserts internally on every prune
+            assert v.status.value == truth
+
+
+def test_twin_branch_at_zero_pre_activation():
+    # Two twin copies of ReLU(x) and one ReLU(-x): y = x for x <= 0 and
+    # y = -2x for x >= 0, so the maximum 0 lies exactly where the twins'
+    # pre-activation is 0, the one point where their mixed phase is
+    # non-empty.  The twins are unstable on the box, so solve branches on
+    # them.  SAT means some x reaches c + EPSILON, so the verdict flips as
+    # c crosses -EPSILON.
+    net = Network(
+        [Layer([[1.0], [1.0], [-1.0]], [0.0, 0.0, 0.0], True), Layer([[-1.0, -1.0, -1.0]], [0.0], False)],
+        1,
+    )
+    box = InputBox([-1.0], [1.0])
+    for c, truth in ((-2 * EPSILON, "SAT"), (-EPSILON / 2, "UNSAT"), (EPSILON, "UNSAT")):
+        q = Query(net, box, OutputProperty(c))
+        assert exhaustive_verdict(q) == truth
+        v = solve(q, check_prunes=True)
+        assert v.status.value == truth, c
+        if v.status is Status.SAT:
+            assert evaluate(net, v.witness)[0] > c - 1e-9
+
+
+def test_split_network_search_stays_close_to_original(tmp_path):
+    # preprocess copies neurons into twins with equal incoming rows.  A
+    # branch fixes a whole twin class, so the split network's search stays
+    # within a small factor of the original's; branching on twins one at a
+    # time walks empty mixed-phase regions down to the leaf LP.
+    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
+    for entry in manifest["queries"]:
+        net = load_network(tmp_path / entry["net"])
+        q = load_query(tmp_path / entry["query"], net)
+        split = Query(preprocess(net).network, q.input, q.output)
+        v, w = solve(q, timeout=8.0), solve(split, timeout=8.0)
+        assert v.status is not Status.TIMEOUT and w.status is not Status.TIMEOUT, entry["id"]
+        assert v.status is w.status, entry["id"]
+        assert w.nodes <= 3 * v.nodes, (entry["id"], v.nodes, w.nodes)
 
 
 def test_deterministic_verdicts_and_witnesses():
