@@ -10,10 +10,17 @@ solver's node bounds, ``output_bounds``, ``output_gap`` and
 forward layer by layer) is kept as the reference SBT is checked against:
 SBT's intervals are contained in IBP's on every neuron.
 
-SBT accepts an optional per-neuron phase vector (used by the
+SBT is a loop over one layer step with two parts: the affine step builds
+a layer's pre-activation expressions and intervals, and the ReLU step
+resolves them, phase by phase, to post-activation expressions and
+intervals.  It accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
 resulting bounds are then sound on the sub-region of the box where those
-phases hold.
+phases hold.  A solver child differs from its parent only in the phases
+of layer k, so ``sbt`` can resume from the parent's result at layer k: it
+reuses layers 0..k-1 and layer k's pre-activations, and reruns the same
+steps from layer k's ReLU step on, which gives the same arrays as a run
+from the input.
 
 If original(x) + d <= abstract(x) on the box, then checking the abstract
 network against ``y > c + d`` over-approximates checking the original
@@ -32,10 +39,16 @@ from .network import InputBox, Network, OutputProperty
 
 @dataclass(frozen=True, eq=False)
 class BoundsMap:
-    """Per-layer [lo, hi] arrays for pre- and post-activation values."""
+    """Per-layer [lo, hi] arrays for pre- and post-activation values.
+
+    ``sbt`` also keeps each layer's pre-activation expressions in
+    ``pre_expr``, so that a child node can resume from them; ``ibp`` leaves
+    it empty.
+    """
 
     pre: tuple[tuple[np.ndarray, np.ndarray], ...]
     post: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pre_expr: tuple[tuple[np.ndarray, ...], ...] = ()
 
     @property
     def output_interval(self) -> tuple[float, float]:
@@ -78,53 +91,84 @@ def _concrete_hi(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarr
     return np.maximum(coef, 0.0) @ box.upper + np.minimum(coef, 0.0) @ box.lower + const
 
 
-def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
+def _pre_step(layer, post, box: InputBox):
+    """Affine step: a layer's pre-activation expressions ``(Lc, Lk, Uc, Uk)``
+    (lower and upper coefficients and constants over the raw inputs), built
+    from the previous layer's post-activation ones, and their intervals."""
+    W, b = layer.weights, layer.biases
+    Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    Lc, Lk, Uc, Uk = post
+    pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
+    pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
+    return (pLc, pLk, pUc, pUk), (_concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box))
+
+
+def _relu_step(pre, interval, fixed, box: InputBox):
+    """ReLU step: each neuron's mode, where a nonzero ``fixed`` phase
+    overrides the one the interval gives, then the post-activation
+    expressions and their intervals."""
+    pLc, pLk, pUc, pUk = pre
+    plo, phi = interval
+    mode = np.zeros(plo.shape[0], dtype=np.int8)
+    mode[plo >= 0.0] = 1
+    mode[phi <= 0.0] = -1
+    if fixed is not None:
+        mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
+    Lc, Lk = pLc.copy(), pLk.copy()
+    Uc, Uk = pUc.copy(), pUk.copy()
+    inactive = mode == -1
+    Lc[inactive], Lk[inactive] = 0.0, 0.0
+    Uc[inactive], Uk[inactive] = 0.0, 0.0
+    relaxed = mode == 0
+    Lc[relaxed], Lk[relaxed] = 0.0, 0.0
+    Uc[relaxed], Uk[relaxed] = 0.0, phi[relaxed]
+    qlo, qhi = _concrete_lo(Lc, Lk, box), _concrete_hi(Uc, Uk, box)
+    # Post-ReLU values are non-negative wherever the phases hold.
+    return mode, (Lc, Lk, Uc, Uk), (np.maximum(qlo, 0.0), np.maximum(qhi, 0.0))
+
+
+def sbt(
+    net: Network,
+    box: InputBox,
+    phases=None,
+    resume: tuple[int, tuple[np.ndarray, ...], BoundsMap] | None = None,
+) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
     """Symbolic bound tightening; returns (relu_modes, concrete bounds).
 
     ``relu_modes`` records how each hidden neuron was resolved: +1
     expressions passed through (active), -1 zeroed (inactive), 0 relaxed
     (unstable).
+
+    ``resume=(k, modes, bm)`` continues from a parent's result ``(modes,
+    bm)`` of this function, whose phases equal ``phases`` outside layer k:
+    layers 0..k-1 and layer k's pre-activations are taken from it, and the
+    rest is computed as a call without ``resume`` would, so the result is
+    the same.
     """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
-    n_in = net.input_size
-    # Current post-activation expressions for the previous layer.
-    Lc, Lk = np.eye(n_in), np.zeros(n_in)
-    Uc, Uk = np.eye(n_in), np.zeros(n_in)
-    modes = []
-    pre_iv, post_iv = [], []
-    for k, layer in enumerate(net.layers):
-        W, b = layer.weights, layer.biases
-        Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
-        pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
-        pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
-        plo, phi = _concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box)
-        pre_iv.append((plo, phi))
+    if resume is None:
+        k, modes, pre_expr, pre_iv, post_iv = 0, [], [], [], []
+        eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
+        post = (eye, zero, eye, zero)
+    else:
+        k, parent_modes, parent = resume
+        modes, post_iv = list(parent_modes[:k]), list(parent.post[:k])
+        pre_expr, pre_iv = list(parent.pre_expr[: k + 1]), list(parent.pre[: k + 1])
+    for j in range(k, len(net.layers)):
+        layer = net.layers[j]
+        if j == len(pre_iv):  # false only for a resumed layer k
+            expr, iv = _pre_step(layer, post, box)
+            pre_expr.append(expr)
+            pre_iv.append(iv)
         if layer.relu:
-            m = W.shape[0]
-            mode = np.zeros(m, dtype=np.int8)
-            mode[plo >= 0.0] = 1
-            mode[phi <= 0.0] = -1
-            if phases is not None:
-                fixed = phases[k]
-                mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
-            Lc, Lk = pLc.copy(), pLk.copy()
-            Uc, Uk = pUc.copy(), pUk.copy()
-            inactive = mode == -1
-            Lc[inactive], Lk[inactive] = 0.0, 0.0
-            Uc[inactive], Uk[inactive] = 0.0, 0.0
-            relaxed = mode == 0
-            Lc[relaxed], Lk[relaxed] = 0.0, 0.0
-            Uc[relaxed], Uk[relaxed] = 0.0, phi[relaxed]
-            qlo, qhi = _concrete_lo(Lc, Lk, box), _concrete_hi(Uc, Uk, box)
-            # Post-ReLU values are non-negative wherever the phases hold.
-            qlo, qhi = np.maximum(qlo, 0.0), np.maximum(qhi, 0.0)
+            fixed = None if phases is None else phases[j]
+            mode, post, iv = _relu_step(pre_expr[j], pre_iv[j], fixed, box)
             modes.append(mode)
         else:
-            Lc, Lk, Uc, Uk = pLc, pLk, pUc, pUk
-            qlo, qhi = plo, phi
-        post_iv.append((qlo, qhi))
-    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv))
+            post, iv = pre_expr[j], pre_iv[j]
+        post_iv.append(iv)
+    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv), tuple(pre_expr))
 
 
 def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:

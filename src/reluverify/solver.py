@@ -1,7 +1,7 @@
 """Sound and complete decision procedure for a single query.
 
 Branch-and-bound over ReLU phases: each node carries a partial phase
-assignment (+1 active, -1 inactive, 0 undecided), bounds are recomputed per
+assignment (+1 active, -1 inactive, 0 undecided), bounds are computed per
 node with phase-aware symbolic tightening, branches whose output upper
 bound cannot exceed the threshold are pruned, and fully-decided leaves
 reduce to a linear feasibility problem solved with a dense simplex.
@@ -12,6 +12,18 @@ layer whose incoming weights and bias equal the chosen neuron's exactly
 have the same pre-activation at every input, so a mixed-phase region is
 empty except where that pre-activation is 0, and there both phases give 0.
 Networks without twins branch on one neuron at a time.
+
+A child changes only the phases of its branch layer k, so its node bounds
+resume from the parent's ``sbt`` result, kept with the child on the DFS
+stack: only layer k's ReLU step and the layers after it are recomputed,
+with the same result as bounding from scratch.  For the same reason a
+child copies only layer k's phase array and shares the others with its
+parent, and it checks for phase conflicts only on layers k and up: the
+layers below carry the parent's bounds and phases, which passed the
+check.  Sharing is safe because no code changes a phase array or a
+stored ``sbt`` result in place.  The branch neuron is the
+unknown one with the widest pre-activation interval, the first in layer
+order, then in index order, on ties.
 
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
@@ -136,6 +148,24 @@ def _assert_no_sat_leaf(net, box, phases, threshold):
     assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
 
 
+def _widest_unknown(relu_modes, bm):
+    """The unknown neuron ``(k, i)`` with the widest pre-activation interval,
+    or None if there is none; ties go to the first in layer order, then in
+    index order."""
+    if not relu_modes:
+        return None
+    widths = np.concatenate(
+        [np.where(mode == UNKNOWN, phi - plo, -np.inf) for mode, (plo, phi) in zip(relu_modes, bm.pre)]
+    )
+    j = int(np.argmax(widths))
+    if widths[j] == -np.inf:
+        return None
+    for k, mode in enumerate(relu_modes):
+        if j < mode.size:
+            return k, j
+        j -= mode.size
+
+
 def solve(query: Query, timeout: float | None = None, check_prunes: bool = False) -> Verdict:
     """Decide a query: UNSAT, SAT with witness, or TIMEOUT.
 
@@ -155,20 +185,20 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         return verdict(Status.TIMEOUT)
 
     root = tuple(np.zeros(sz, dtype=np.int8) for sz in net.hidden_sizes)
-    stack: list[tuple[tuple[np.ndarray, ...], int]] = [(root, 0)]
+    # A stack entry is a node's phases and its parent's resume state (None at the root).
+    stack: list[tuple[tuple[np.ndarray, ...], tuple | None]] = [(root, None)]
     while stack:
         if timed_out():
             return verdict(Status.TIMEOUT)
-        phases, depth = stack.pop()
+        phases, resume = stack.pop()
         nodes += 1
-        relu_modes, bm = sbt(net, box, phases)
+        relu_modes, bm = sbt(net, box, phases, resume)
 
-        conflict = False
-        for k, ph in enumerate(phases):
-            plo, phi = bm.pre[k]
-            if np.any((ph == ACTIVE) & (phi < 0)) or np.any((ph == INACTIVE) & (plo > 0)):
-                conflict = True
-                break
+        first = 0 if resume is None else resume[0]
+        conflict = any(
+            np.any((ph == ACTIVE) & (phi < 0)) or np.any((ph == INACTIVE) & (plo > 0))
+            for ph, (plo, phi) in zip(phases[first:], bm.pre[first:])
+        )
         if conflict:
             if check_prunes:
                 _assert_no_sat_leaf(net, box, phases, c)
@@ -179,20 +209,13 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
             if check_prunes:
                 _assert_no_sat_leaf(net, box, phases, c)
             continue
-        if depth == 0 and lo_out >= c + EPSILON:
+        if resume is None and lo_out >= c + EPSILON:
             # Every box point is a witness when the sound lower bound clears c.
             mid = box.midpoint()
             if is_witness(net, mid, c):
                 return verdict(Status.SAT, mid)
 
-        branch = None
-        widest = -np.inf
-        for k, mode in enumerate(relu_modes):
-            plo, phi = bm.pre[k]
-            for i in np.flatnonzero(mode == UNKNOWN):
-                width = phi[i] - plo[i]
-                if width > widest:
-                    widest, branch = width, (k, int(i))
+        branch = _widest_unknown(relu_modes, bm)
         if branch is None:
             x = _solve_leaf(net, box, relu_modes, c)
             if x is not None:
@@ -201,9 +224,10 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         k, i = branch
         W, b = net.layers[k].weights, net.layers[k].biases
         twins = np.flatnonzero((W == W[i]).all(axis=1) & (b == b[i]))
+        state = (k, relu_modes, bm)
         for val in (INACTIVE, ACTIVE):  # pushed inactive first; active explored first
-            child = tuple(ph.copy() for ph in phases)
-            child[k][twins] = val
-            stack.append((child, depth + 1))
+            ph = phases[k].copy()
+            ph[twins] = val
+            stack.append((phases[:k] + (ph,) + phases[k + 1 :], state))
 
     return verdict(Status.UNSAT)

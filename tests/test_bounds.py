@@ -109,3 +109,41 @@ def test_output_gap_pointwise_guarantee():
         orig = forward_batch(net, X)[:, 0]
         abst = forward_batch(abstract, X)[:, 0]
         assert np.all(orig + d <= abst + 1e-9)
+
+
+def test_sbt_resumed_at_branch_layer_equals_from_scratch():
+    # A solver child changes only the phases of its branch layer k; resuming
+    # from the parent's result must give exactly the arrays of a fresh run.
+    # Each network takes a chain of branches (first, inner and last hidden
+    # layer, in random order), each resuming from the previous result.
+    rng = np.random.default_rng(45)
+    seen = set()
+    for _ in range(40):
+        base = random_network(rng, n_layers=int(rng.integers(1, 5)))
+        box = random_box(rng, base.input_size)
+        for net in (base, preprocess(base).network):
+            n_hidden = len(net.hidden_sizes)
+            phases = tuple(
+                np.where(rng.random(m) < 0.3, rng.choice([-1, 1], size=m), 0).astype(np.int8)
+                for m in net.hidden_sizes
+            )
+            result = sbt(net, box, phases)
+            for k in map(int, rng.permutation(sorted({0, int(rng.integers(0, n_hidden)), n_hidden - 1}))):
+                ph = phases[k].copy()
+                ph[rng.random(ph.size) < 0.5] = rng.choice([-1, 1])
+                phases = phases[:k] + (ph,) + phases[k + 1 :]
+                resumed = sbt(net, box, phases, (k, *result))
+                modes, bm = sbt(net, box, phases)
+                assert len(resumed[0]) == len(modes)
+                assert all(np.array_equal(a, b) for a, b in zip(resumed[0], modes))
+                assert len(resumed[1].pre + resumed[1].post) == len(bm.pre + bm.post)
+                for a, b in zip(resumed[1].pre + resumed[1].post, bm.pre + bm.post):
+                    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                if k == 0:
+                    seen.add("first")
+                if k == n_hidden - 1:
+                    seen.add("last")
+                if 0 < k < n_hidden - 1:
+                    seen.add("inner")
+                result = resumed
+    assert seen == {"first", "inner", "last"}

@@ -17,7 +17,9 @@ from reluverify import (
     preprocess,
     solve,
 )
-from reluverify.solver import EPSILON, _leaf_rows
+from reluverify import solver
+from reluverify.bounds import BoundsMap
+from reluverify.solver import EPSILON, _leaf_rows, _widest_unknown
 
 from conftest import oracle_verdict, random_oracle_network, random_query, random_network
 
@@ -177,3 +179,89 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
         assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
         assert np.all(A @ x <= b + 1e-9)
         assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
+
+
+def _loop_widest_unknown(relu_modes, bm):
+    """Per-neuron reference for ``_widest_unknown``: the first strictly
+    widest unknown neuron, in layer order, then index order."""
+    branch, widest = None, -np.inf
+    for k, mode in enumerate(relu_modes):
+        plo, phi = bm.pre[k]
+        for i in np.flatnonzero(mode == 0):
+            width = phi[i] - plo[i]
+            if width > widest:
+                widest, branch = width, (k, int(i))
+    return branch
+
+
+def test_widest_unknown_matches_loop_reference():
+    # Widths drawn from a few values make exact ties common; a share of the
+    # nodes has no unknown neuron, and some have no hidden layer at all.
+    rng = np.random.default_rng(75)
+    ties = nones = 0
+    for _ in range(400):
+        sizes = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(0, 4)))]
+        p_unknown = rng.choice([0.0, 0.2, 0.6])
+        modes, pre = [], []
+        for m in sizes:
+            modes.append(np.where(rng.random(m) < p_unknown, 0, rng.choice([-1, 1], size=m)).astype(np.int8))
+            plo = rng.choice([-1.0, -0.5, -0.25], size=m)
+            pre.append((plo, plo + rng.choice([0.5, 1.0, 1.5], size=m)))
+        layers = tuple(pre) + ((np.zeros(1), np.ones(1)),)
+        bm = BoundsMap(layers, layers)
+        expected = _loop_widest_unknown(tuple(modes), bm)
+        assert _widest_unknown(tuple(modes), bm) == expected
+        if expected is None:
+            nones += 1
+        else:
+            k, i = expected
+            widths = [phi[mode == 0] - plo[mode == 0] for mode, (plo, phi) in zip(modes, pre)]
+            ties += int(np.sum(np.concatenate(widths) == pre[k][1][i] - pre[k][0][i]) > 1)
+    assert ties > 50 and nones > 50
+
+
+def _resume_calls(monkeypatch, resume: bool) -> list:
+    """Wrap ``solver.sbt``: record whether each call resumes, and with
+    ``resume=False`` drop the resume state so every node bounds from scratch."""
+    real, calls = solver.sbt, []
+
+    def wrapper(net, box, phases=None, state=None):
+        calls.append(state is not None)
+        return real(net, box, phases, state if resume else None)
+
+    monkeypatch.setattr(solver, "sbt", wrapper)
+    return calls
+
+
+def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
+    # Resuming node bounds from the parent gives the same bounds, so the
+    # whole search is the same: verdicts, node counts and witnesses.
+    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
+    queries = []
+    for entry in manifest["queries"]:
+        q = load_query(tmp_path / entry["query"], load_network(tmp_path / entry["net"]))
+        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
+    rng = np.random.default_rng(76)
+    for _ in range(20):
+        n_in = int(rng.integers(1, 4))
+        sizes = [n_in, int(rng.integers(4, 9)), int(rng.integers(4, 9)), 1]
+        layers = [
+            Layer(rng.uniform(-1.0, 1.0, size=(sizes[k], sizes[k - 1])), rng.uniform(-0.5, 0.5, size=sizes[k]), k < 3)
+            for k in range(1, 4)
+        ]
+        queries.append(random_query(rng, net=Network(layers, n_in)))
+
+    runs = {}
+    for resume in (True, False):
+        with monkeypatch.context() as m:
+            calls = _resume_calls(m, resume)
+            runs[resume] = [solve(q, timeout=60.0) for q in queries]
+        resumed = sum(calls)
+        assert resumed > 1000 and resumed == len(calls) - len(queries)
+    for v, w in zip(runs[True], runs[False]):
+        assert v.status is w.status and v.status is not Status.TIMEOUT
+        assert v.nodes == w.nodes
+        assert (v.witness is None) == (w.witness is None)
+        if v.witness is not None:
+            assert v.witness.tobytes() == w.witness.tobytes()
+    assert any(v.status is Status.SAT for v in runs[True])
