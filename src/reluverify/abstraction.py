@@ -19,6 +19,14 @@ scratch (for saturation and merges, and as the reference in the tests);
 two new rows and the next layer's two new columns, with the same
 expressions, and shares every other row, column and layer with its parent.
 
+Both derivations work on whole layers in numpy, not group by group: a
+layer's groups become its members in group order plus each group's offset
+(``_layer_order``), the per-group max and min are one ``reduceat`` over the
+rows permuted by group, and the column sums gather all groups of one size
+at once.  Each result is bit-identical to the per-group expression, which
+the tests keep as the reference.  The split choice scores every merged
+member of every layer in one array and takes one ``argmax``.
+
 The aggregation over-approximates the base output for all inputs drawn from
 the relevant box.  Merging neurons of the first hidden layer additionally
 requires the box to be non-negative (their sources are raw inputs rather
@@ -28,10 +36,11 @@ than post-ReLU values), which callers assert via ``nonneg_inputs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .categorize import CategorizedNetwork, Direction
+from .categorize import CategorizedNetwork
 from .network import Layer, Network, hidden_values
 
 Groups = tuple[tuple[tuple[int, ...], ...], ...]
@@ -41,25 +50,40 @@ class CannotRefineError(RuntimeError):
     """Raised when every group is a singleton and no split is possible."""
 
 
+def _layer_order(layer_groups):
+    """A layer's members in group order, each group's size, and the offset
+    of each group's first member in that order."""
+    sizes = np.fromiter(map(len, layer_groups), dtype=np.intp, count=len(layer_groups))
+    members = np.fromiter(chain.from_iterable(layer_groups), dtype=np.intp, count=int(sizes.sum()))
+    starts = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return members, sizes, starts
+
+
 def _collapse(base: CategorizedNetwork, k: int, layer_groups, cols=slice(None)):
     """Rows of base layer ``k`` (restricted to ``cols``) collapsed per target
     group: the per-source max for inc groups, the min for dec groups."""
-    W, b = base.network.layers[k].weights[:, cols], base.network.layers[k].biases
-    rows, biases = [], []
-    for g in layer_groups:
-        idx = list(g)
-        sub, bsub = W[idx, :], b[idx]
-        if base.categories[k][g[0]].direction is Direction.INC:
-            rows.append(sub.max(axis=0))
-            biases.append(bsub.max())
-        else:
-            rows.append(sub.min(axis=0))
-            biases.append(bsub.min())
-    return np.vstack(rows), np.array(biases)
+    members, _, starts = _layer_order(layer_groups)
+    layer = base.network.layers[k]
+    W, b = layer.weights[:, cols][members], layer.biases[members]
+    inc = base.increasing[k][members[starts]]
+    rows = np.where(inc[:, None], np.maximum.reduceat(W, starts), np.minimum.reduceat(W, starts))
+    biases = np.where(inc, np.maximum.reduceat(b, starts), np.minimum.reduceat(b, starts))
+    return rows, biases
 
 
 def _sum_columns(W: np.ndarray, source_groups) -> np.ndarray:
-    return np.stack([W[:, list(h)].sum(axis=1) for h in source_groups], axis=1)
+    """Columns of ``W`` summed within each source group, bit-identical to
+    ``W[:, group].sum(axis=1)`` per group.  The order numpy adds in depends
+    on the gathered array's length and memory layout, and one fancy index
+    per group size, summed over its last axis, keeps both; ``np.add.reduceat``
+    and a sum over a sliced view do not."""
+    members, sizes, starts = _layer_order(source_groups)
+    out = np.empty((W.shape[0], sizes.size))
+    for size in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == size)
+        out[:, at] = W[:, members[starts[at, None] + np.arange(size)]].sum(axis=2)
+    return out
 
 
 def _aggregate(base: CategorizedNetwork, groups: Groups) -> Network:
@@ -93,8 +117,11 @@ class AbstractionState:
 
     @property
     def excess(self) -> int:
-        """Total merge excess: sum of (group size - 1); 0 means fully refined."""
-        return sum(len(g) - 1 for layer in self.groups for g in layer)
+        """Total merge excess: sum of (group size - 1); 0 means fully refined.
+
+        Groups partition each base layer, so this is the base layer sizes
+        minus the group counts."""
+        return sum(len(cats) - len(layer) for cats, layer in zip(self.base.categories, self.groups))
 
     @property
     def hidden_sizes(self) -> list[int]:
@@ -174,25 +201,31 @@ def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False
     return _make_state(base, groups, nonneg_inputs)
 
 
-def _split_scores(state: AbstractionState, x0: np.ndarray):
-    """Score each (layer, group, member) by how much merging distorts the
-    member's outgoing contribution at ``x0``: sum over outgoing edges of
-    |w * v_member - w * v_group|."""
-    base_net = state.base.network
-    v_base = hidden_values(base_net, x0)
-    v_abs = hidden_values(state.network, x0)
+def _split_choice(state: AbstractionState, x0: np.ndarray) -> tuple[int, int]:
+    """The merged member ``(layer, member)`` whose merge most distorts its
+    outgoing contribution at ``x0``: the score is the sum over outgoing
+    edges of |w * v_member - w * v_group|.  Ties go to the first layer, then
+    the lowest member index.
 
-    out = []
-    for k, layer_groups in enumerate(state.groups):
-        out_abs = np.abs(base_net.layers[k + 1].weights)  # (targets, layer-k neurons)
-        out_sums = out_abs.sum(axis=0)
-        for gi, g in enumerate(layer_groups):
-            if len(g) < 2:
-                continue
-            for m in g:
-                score = out_sums[m] * abs(v_base[k][m] - v_abs[k][gi])
-                out.append((score, k, m, gi))
-    return out
+    All hidden layers are scored at once, over their concatenated neurons:
+    a member's index is offset by the base sizes of the layers before it,
+    and its group's index by their group counts, which is where the group's
+    value sits in the concatenated abstract values."""
+    base = state.base
+    offsets = np.cumsum([0] + [len(cats) for cats in base.categories])
+    sizes = np.fromiter(map(len, chain.from_iterable(state.groups)), dtype=np.intp)
+    members = np.fromiter(chain.from_iterable(chain.from_iterable(state.groups)), dtype=np.intp)
+    members += np.repeat(offsets[:-1], np.diff(offsets))
+    group = np.repeat(np.arange(sizes.size), sizes)
+    merged = sizes[group] > 1
+    m, g = members[merged], group[merged]
+    v_base = np.concatenate(hidden_values(base.network, x0))
+    v_abs = np.concatenate(hidden_values(state.network, x0))
+    score = np.full(offsets[-1], -np.inf)
+    score[m] = np.concatenate(base.outgoing_weight)[m] * np.abs(v_base[m] - v_abs[g])
+    j = int(np.argmax(score))
+    k = int(np.searchsorted(offsets, j, side="right")) - 1
+    return k, j - int(offsets[k])
 
 
 def refine_split(state: AbstractionState, x0) -> AbstractionState:
@@ -208,16 +241,18 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
     if x0.shape != (state.base.network.input_size,):
         raise ValueError("x0 has the wrong dimension")
 
-    _, L, member, gi = min(_split_scores(state, x0), key=lambda it: (-it[0], it[1], it[2]))
+    L, member = _split_choice(state, x0)
     old_groups = state.groups[L]
+    gi = next(i for i, g in enumerate(old_groups) if member in g)
     split = ((member,), tuple(m for m in old_groups[gi] if m != member))
-    groups = list(state.groups)
-    groups[L] = _canonical(old_groups[:gi] + split + old_groups[gi + 1 :])
     # Where each new group's row (layer L) and column (layer L+1) comes from:
-    # the parent's, or one of the two fresh ones appended after them.
-    source = {g: i for i, g in enumerate(old_groups)}
-    source.update({g: len(old_groups) + t for t, g in enumerate(split)})
-    order = [source[g] for g in groups[L]]
+    # the parent's other groups, or the two fresh ones appended after them,
+    # taken in the canonical order of their first members.
+    firsts = [g[0] for g in old_groups] + [member, split[1][0]]
+    firsts[gi] = -1  # sorts first and is dropped: group gi is replaced
+    order = np.argsort(firsts)[1:]
+    groups = list(state.groups)
+    groups[L] = tuple((old_groups + split)[i] for i in order)
 
     base, layers = state.base, list(state.network.layers)
     rows, biases = _collapse(base, L, split)
@@ -230,7 +265,9 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
         W, _ = _collapse(base, L + 1, groups[L + 1], cols)
     else:
         W = base.network.layers[L + 1].weights[:, cols]
-    W = _sum_columns(W, (range(1), range(1, len(cols))))
+    # Column 0 alone and the rest summed, adding in the order _sum_columns
+    # would (a sum over the view W[:, 1:] adds in another order).
+    W = np.column_stack([W[:, [0]].sum(axis=1), W[:, np.arange(1, len(cols))].sum(axis=1)])
     W = np.concatenate([layers[L + 1].weights, W], axis=1)
     layers[L + 1] = Layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
     network = Network(layers, state.network.input_size, domain=state.network.domain)

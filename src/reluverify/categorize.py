@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,16 @@ class CategorizedNetwork:
     network: Network
     categories: tuple[tuple[Category, ...], ...]
     origins: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def increasing(self) -> tuple[np.ndarray, ...]:
+        """Per hidden layer, a boolean array: True where a neuron is inc."""
+        return tuple(np.array([c.direction is Direction.INC for c in cats], dtype=bool) for cats in self.categories)
+
+    @cached_property
+    def outgoing_weight(self) -> tuple[np.ndarray, ...]:
+        """Per hidden layer, each neuron's summed absolute outgoing weight."""
+        return tuple(np.abs(layer.weights).sum(axis=0) for layer in self.network.layers[1:])
 
 
 def _edge_category(weight: float, target_dir: Direction) -> Category:

@@ -6,6 +6,18 @@ node with phase-aware symbolic tightening, branches whose output upper
 bound cannot exceed the threshold are pruned, and fully-decided leaves
 reduce to a linear feasibility problem solved with a dense simplex.
 
+A leaf's LP has a row only for each branch-fixed neuron (a nonzero entry
+in the node's phases) and one for the output; every neuron gets its
+phase from the node's ``sbt`` modes, which drive the affine propagation.
+This is exact.  Call R the box points where the branch-fixed phases
+hold.  ``sbt`` with forced phases is sound on R, and a neuron's bounds
+depend only on the phases fixed in the layers below it, so by induction
+over the layers every point of the LP region lies in R, and there every
+neuron that is not branch-fixed is stable in the phase its bounds give.
+Its row is therefore implied, and the network equals the affine map the
+LP uses.  ``_assert_no_sat_leaf`` and ``harness.exhaustive_verdict``
+keep a row for every neuron, as the reference.
+
 A branch fixes the phase of a whole twin class: the neurons of the branch
 layer whose incoming weights and bias equal the chosen neuron's exactly
 (``categorize.preprocess`` makes such copies).  This is sound because twins
@@ -18,12 +30,15 @@ resume from the parent's ``sbt`` result, kept with the child on the DFS
 stack: only layer k's ReLU step and the layers after it are recomputed,
 with the same result as bounding from scratch.  For the same reason a
 child copies only layer k's phase array and shares the others with its
-parent, and it checks for phase conflicts only on layers k and up: the
-layers below carry the parent's bounds and phases, which passed the
-check.  Sharing is safe because no code changes a phase array or a
-stored ``sbt`` result in place.  The branch neuron is the
-unknown one with the widest pre-activation interval, the first in layer
-order, then in index order, on ties.
+parent, and it checks for phase conflicts only on the layers above k.
+The layers below carry the parent's bounds and phases, which passed the
+check.  Layer k keeps the parent's pre-activation bounds, and its only
+changed phases are those of the branched twin class, which was unknown
+in the parent (``plo < 0 < phi``), so it cannot conflict either.
+Sharing is safe because no code changes a phase array or a stored
+``sbt`` result in place.  The branch neuron is the unknown one with the
+widest pre-activation interval, the first in layer order, then in index
+order, on ties.
 
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
@@ -91,12 +106,14 @@ def is_witness(net: Network, x, threshold: float) -> bool:
     return bool(evaluate(net, x)[0] > threshold - WITNESS_SLACK)
 
 
-def _leaf_rows(net: Network, modes, target: float):
-    """Linear rows (A x <= b) of the region where every ReLU has its phase
-    in ``modes`` (+1 active, -1 inactive) and the output reaches ``target``.
+def _leaf_rows(net: Network, modes, phases, target: float):
+    """Linear rows (A x <= b) of the region where every neuron with a nonzero
+    entry in ``phases`` has its phase in ``modes`` (+1 active, -1 inactive)
+    and the output reaches ``target``.
 
-    Exact affine propagation: under a full phase assignment each layer's
-    pre-activations are an affine map ``C x + d`` of the input.
+    Exact affine propagation: under a full phase assignment ``modes`` each
+    layer's pre-activations are an affine map ``C x + d`` of the input.
+    Passing ``modes`` itself as ``phases`` gives a row for every neuron.
     """
     C, d = net.layers[0].weights, net.layers[0].biases
     rows, rhs = [], []
@@ -107,35 +124,44 @@ def _leaf_rows(net: Network, modes, target: float):
         C, d = layer.weights @ (C * active[:, None]), layer.weights @ (d * active) + layer.biases
     rows.append(-C[:1])
     rhs.append(d[:1] - target)
-    return np.vstack(rows), np.concatenate(rhs)
+    keep = np.concatenate([*phases, [ACTIVE]]) != UNKNOWN
+    return np.vstack(rows)[keep], np.concatenate(rhs)[keep]
+
+
+def _feasible(A, b, box: InputBox):
+    """``feasible_point`` over the box, re-solved with ``RETRY_TOLERANCES``
+    after a numerical failure."""
+    try:
+        return feasible_point(A, b, box.lower, box.upper)
+    except SimplexError:
+        return feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
 
 
 def first_feasible_completion(net: Network, box: InputBox, phases, target: float):
     """A box point reaching ``target`` in the first completion of ``phases``
     (undecided neurons filled active-first, in layer order) whose leaf region
-    is feasible, or None when no completion is."""
+    is feasible, or None when no completion is.  Every neuron gets a row."""
     full = [ph.copy() for ph in phases]
     free = [(k, i) for k, ph in enumerate(full) for i, m in enumerate(ph.tolist()) if m == UNKNOWN]
     for combo in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
         for (k, i), val in zip(free, combo):
             full[k][i] = val
-        A, b = _leaf_rows(net, full, target)
-        try:
-            x = feasible_point(A, b, box.lower, box.upper)
-        except SimplexError:
-            x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
+        x = _feasible(*_leaf_rows(net, full, full, target), box)
         if x is not None:
             return x
     return None
 
 
-def _solve_leaf(net: Network, box: InputBox, modes, threshold: float):
-    """Feasibility of a fully-decided branch; returns a verified witness or None."""
-    x = first_feasible_completion(net, box, modes, threshold + EPSILON)
+def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
+    """Feasibility of a fully-decided node; returns a verified witness or None.
+
+    The LP has rows only for the branch-fixed neurons (nonzero ``phases``)
+    and the output; the module docstring says why that is exact."""
+    A, b = _leaf_rows(net, modes, phases, threshold + EPSILON)
+    x = _feasible(A, b, box)
     if x is None or is_witness(net, x, threshold):
         return x
     # Marginal LP answer; re-solve with tightened pivots before giving up.
-    A, b = _leaf_rows(net, modes, threshold + EPSILON)
     x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
     if x is not None and is_witness(net, x, threshold):
         return x
@@ -194,7 +220,7 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         nodes += 1
         relu_modes, bm = sbt(net, box, phases, resume)
 
-        first = 0 if resume is None else resume[0]
+        first = 0 if resume is None else resume[0] + 1
         conflict = any(
             np.any((ph == ACTIVE) & (phi < 0)) or np.any((ph == INACTIVE) & (plo > 0))
             for ph, (plo, phi) in zip(phases[first:], bm.pre[first:])
@@ -217,7 +243,7 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
 
         branch = _widest_unknown(relu_modes, bm)
         if branch is None:
-            x = _solve_leaf(net, box, relu_modes, c)
+            x = _solve_leaf(net, box, relu_modes, phases, c)
             if x is not None:
                 return verdict(Status.SAT, x)
             continue

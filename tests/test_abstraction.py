@@ -12,7 +12,9 @@ from reluverify import (
     refine_split,
 )
 
-from reluverify.abstraction import _aggregate
+from reluverify.abstraction import _aggregate, _collapse, _split_choice, _sum_columns
+from reluverify.categorize import Direction
+from reluverify.network import hidden_values
 
 from conftest import forward_batch, random_box, random_network, sample_box
 
@@ -219,3 +221,124 @@ def test_refine_targets_most_distorted_neuron(net121):
     state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
     refined = refine_split(state, [20.0])
     assert refined.excess == 0  # group of two: one extraction fully splits it
+
+
+def _loop_split_choice(state, x0):
+    """Per-member reference for ``_split_choice``: score every member of
+    every merged group in turn and keep the smallest ``(-score, layer,
+    member)``."""
+    base_net = state.base.network
+    v_base, v_abs = hidden_values(base_net, x0), hidden_values(state.network, x0)
+    best = None
+    for k, layer_groups in enumerate(state.groups):
+        out_sums = np.abs(base_net.layers[k + 1].weights).sum(axis=0)
+        for gi, g in enumerate(layer_groups):
+            if len(g) < 2:
+                continue
+            for m in g:
+                key = (-(out_sums[m] * abs(v_base[k][m] - v_abs[k][gi])), k, m)
+                best = key if best is None or key < best else best
+    return best[1], best[2]
+
+
+def _loop_collapse(base, k, layer_groups, cols=slice(None)):
+    """Per-group reference for ``_collapse``."""
+    W, b = base.network.layers[k].weights[:, cols], base.network.layers[k].biases
+    rows, biases = [], []
+    for g in layer_groups:
+        sub, bsub = W[list(g), :], b[list(g)]
+        if base.categories[k][g[0]].direction is Direction.INC:
+            rows.append(sub.max(axis=0))
+            biases.append(bsub.max())
+        else:
+            rows.append(sub.min(axis=0))
+            biases.append(bsub.min())
+    return np.vstack(rows), np.array(biases)
+
+
+def _loop_sum_columns(W, source_groups):
+    """Per-group reference for ``_sum_columns``."""
+    return np.stack([W[:, list(h)].sum(axis=1) for h in source_groups], axis=1)
+
+
+def _random_partition(rng, n):
+    """A random partition of ``range(n)``, groups sorted by first member."""
+    perm = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return tuple(sorted((tuple(sorted(g.tolist())) for g in np.split(perm, cuts)), key=lambda g: g[0]))
+
+
+def _tie_network(rng):
+    """A random network with weights and biases from a few small integers,
+    so that hidden values and split scores tie often."""
+    sizes = [int(rng.integers(1, 4))] + [int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4)))] + [1]
+    layers = [
+        Layer(
+            rng.choice([-1.0, 0.0, 1.0, 2.0], size=(sizes[k], sizes[k - 1])),
+            rng.choice([-1.0, 0.0, 1.0], size=sizes[k]),
+            relu=k < len(sizes) - 1,
+        )
+        for k in range(1, len(sizes))
+    ]
+    return Network(layers, sizes[0])
+
+
+def test_split_choice_matches_loop_reference():
+    # Every state along a refinement walk, at seeded points that give
+    # exact ties (integer weights and points), all-zero scores (each merged
+    # member's value equals its group's, as where all of them are
+    # inactive) and states with singleton groups next to merged ones.
+    rng = np.random.default_rng(36)
+    ties = all_zero = with_singletons = 0
+    for trial in range(120):
+        net = _tie_network(rng) if trial % 2 else random_network(rng, max_width=8)
+        base = preprocess(net)
+        nonneg = trial % 3 != 0
+        state = abstract_to_saturation(base, nonneg_inputs=nonneg)
+        while state.excess > 0:
+            for x0 in (
+                rng.integers(0, 3, size=net.input_size).astype(np.float64),
+                rng.uniform(0.0, 1.0, size=net.input_size),
+                np.zeros(net.input_size),
+            ):
+                got = _split_choice(state, x0)
+                assert got == _loop_split_choice(state, x0), trial
+                v_base, v_abs = hidden_values(base.network, x0), hidden_values(state.network, x0)
+                scores = [
+                    base.outgoing_weight[k][m] * abs(v_base[k][m] - v_abs[k][gi])
+                    for k, layer in enumerate(state.groups)
+                    for gi, g in enumerate(layer)
+                    if len(g) > 1
+                    for m in g
+                ]
+                ties += scores.count(max(scores)) > 1
+                all_zero += max(scores) == 0.0
+            with_singletons += any(len(g) == 1 for layer in state.groups for g in layer)
+            state = refine_split(state, rng.uniform(0.0, 1.0, size=net.input_size))
+    assert ties > 100 and all_zero > 50 and with_singletons > 100
+
+
+def test_collapse_and_column_sums_match_loop_references():
+    # Random partitions of every layer (singletons, groups of 8 or more,
+    # which numpy sums pairwise in blocks of 8 when the gather has one row,
+    # and groups of inc and of dec neurons), with and without a column
+    # subset, bit for bit.
+    rng = np.random.default_rng(37)
+    directions, sizes = set(), set()
+    for trial in range(150):
+        net = random_network(rng, n_layers=int(rng.integers(1, 4)), max_width=int(rng.choice([4, 12, 40])))
+        base = preprocess(net)
+        for k, layer in enumerate(base.network.layers[:-1]):
+            groups = _random_partition(rng, layer.size)
+            directions |= {base.categories[k][g[0]].direction for g in groups}
+            sizes |= {len(g) for g in groups}
+            n_in = layer.weights.shape[1]
+            subset = list(rng.choice(n_in, size=int(rng.integers(1, n_in + 1)), replace=False))
+            for cols in (slice(None), subset):
+                W, b = _collapse(base, k, groups, cols)
+                W_ref, b_ref = _loop_collapse(base, k, groups, cols)
+                assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes(), trial
+            after = base.network.layers[k + 1].weights
+            assert _sum_columns(after, groups).tobytes() == _loop_sum_columns(after, groups).tobytes(), trial
+    assert directions == {Direction.INC, Direction.DEC}
+    assert 1 in sizes and max(sizes) >= 16

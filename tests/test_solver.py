@@ -143,13 +143,16 @@ def test_deterministic_verdicts_and_witnesses():
             assert np.array_equal(v1.witness, v2.witness)
 
 
-def _loop_leaf_rows(net, modes, target):
-    """Per-neuron reference for ``_leaf_rows``: same arithmetic, one row at a time."""
+def _loop_leaf_rows(net, modes, phases, target):
+    """Per-neuron reference for ``_leaf_rows``: same arithmetic, one row at a
+    time, a row only for a neuron with a nonzero entry in ``phases``."""
     C, d = np.eye(net.input_size), np.zeros(net.input_size)
     rows, rhs = [], []
-    for layer, mode in zip(net.layers[:-1], modes):
+    for layer, mode, fixed in zip(net.layers[:-1], modes, phases):
         pC, pd = layer.weights @ C, layer.weights @ d + layer.biases
         for i in range(layer.size):
+            if fixed[i] == 0:
+                continue
             sign = -1.0 if mode[i] == 1 else 1.0
             rows.append(sign * pC[i])
             rhs.append(-sign * pd[i])
@@ -163,7 +166,9 @@ def _loop_leaf_rows(net, modes, target):
 
 def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
     # Rows built for x's own phase pattern with target y(x) equal the
-    # per-neuron reference bit for bit, hold at x, and are tight on the output.
+    # per-neuron reference bit for bit, hold at x, and are tight on the
+    # output, both with a row for every neuron (phases = modes) and with
+    # rows for a random subset of branch-fixed neurons only.
     rng = np.random.default_rng(74)
     for _ in range(50):
         net = random_network(rng, n_layers=int(rng.integers(0, 4)))
@@ -174,11 +179,56 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
             modes.append(np.where(pre >= 0.0, 1, -1).astype(np.int8))
             v = np.maximum(pre, 0.0)
         y = evaluate(net, x)[0]
-        A, b = _leaf_rows(net, modes, y)
-        A_ref, b_ref = _loop_leaf_rows(net, modes, y)
-        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
-        assert np.all(A @ x <= b + 1e-9)
-        assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
+        fixed = [np.where(rng.random(m.size) < 0.5, m, 0).astype(np.int8) for m in modes]
+        for phases in (modes, fixed):
+            A, b = _leaf_rows(net, modes, phases, y)
+            A_ref, b_ref = _loop_leaf_rows(net, modes, phases, y)
+            assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+            assert A.shape[0] == 1 + sum(int(np.count_nonzero(p)) for p in phases)
+            assert np.all(A @ x <= b + 1e-9)
+            assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
+
+
+def _oracle_queries_and_split_twins(tmp_path) -> list:
+    """The 60 ``oracle-small`` queries, each followed by its query on
+    ``preprocess``'s split network."""
+    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
+    queries = []
+    for entry in manifest["queries"]:
+        q = load_query(tmp_path / entry["query"], load_network(tmp_path / entry["net"]))
+        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
+    return queries
+
+
+def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypatch):
+    # Every leaf solve reaches on the oracle-small queries and their split
+    # networks: the LP with rows for the branch-fixed neurons only is
+    # feasible exactly when the LP with a row for every neuron is, and each
+    # point it returns satisfies every row.
+    leaves = []
+    real = solver._solve_leaf
+
+    def recording(net, box, modes, phases, threshold):
+        leaves.append((net, box, modes, phases, threshold))
+        return real(net, box, modes, phases, threshold)
+
+    monkeypatch.setattr(solver, "_solve_leaf", recording)
+    for q in _oracle_queries_and_split_twins(tmp_path):
+        solve(q, timeout=60.0)
+    feasible = dropped = 0
+    for net, box, modes, phases, threshold in leaves:
+        target = threshold + EPSILON
+        A, b = _leaf_rows(net, modes, phases, target)
+        A_all, b_all = _leaf_rows(net, modes, modes, target)
+        dropped += A_all.shape[0] - A.shape[0]
+        x = solver._feasible(A, b, box)
+        x_all = solver._feasible(A_all, b_all, box)
+        assert (x is None) == (x_all is None)
+        if x is not None:
+            feasible += 1
+            assert box.contains(x)
+            assert np.all(A_all @ x <= b_all + 1e-9)
+    assert feasible > 20 and len(leaves) - feasible > 20 and dropped > 0
 
 
 def _loop_widest_unknown(relu_modes, bm):
@@ -236,11 +286,7 @@ def _resume_calls(monkeypatch, resume: bool) -> list:
 def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
     # Resuming node bounds from the parent gives the same bounds, so the
     # whole search is the same: verdicts, node counts and witnesses.
-    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
-    queries = []
-    for entry in manifest["queries"]:
-        q = load_query(tmp_path / entry["query"], load_network(tmp_path / entry["net"]))
-        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
+    queries = _oracle_queries_and_split_twins(tmp_path)
     rng = np.random.default_rng(76)
     for _ in range(20):
         n_in = int(rng.integers(1, 4))
@@ -265,3 +311,36 @@ def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
         if v.witness is not None:
             assert v.witness.tobytes() == w.witness.tobytes()
     assert any(v.status is Status.SAT for v in runs[True])
+
+
+def test_resumed_node_never_conflicts_at_its_branch_layer(tmp_path, monkeypatch):
+    # solve checks a resumed node for phase conflicts only above its branch
+    # layer k: layer k keeps the parent's bounds, and its only changed
+    # phases are the branched twin class, unknown in the parent.  Count the
+    # conflicts at layer k and above it over the oracle-small queries,
+    # their split networks and seeded 2-hidden-layer networks.
+    real, counts = solver.sbt, {"resumed": 0, "at_k": 0, "above_k": 0}
+
+    def conflicts(ph, plo, phi) -> bool:
+        return bool(np.any((ph == 1) & (phi < 0)) or np.any((ph == -1) & (plo > 0)))
+
+    def checking(net, box, phases=None, resume=None):
+        modes, bm = real(net, box, phases, resume)
+        if resume is not None:
+            k = resume[0]
+            counts["resumed"] += 1
+            counts["at_k"] += conflicts(phases[k], *bm.pre[k])
+            counts["above_k"] += any(conflicts(ph, *iv) for ph, iv in zip(phases[k + 1 :], bm.pre[k + 1 :]))
+        return modes, bm
+
+    monkeypatch.setattr(solver, "sbt", checking)
+    queries = _oracle_queries_and_split_twins(tmp_path)
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        net = random_network(rng, n_layers=2, max_width=8)
+        q = random_query(rng, net=net)
+        queries += [q, Query(preprocess(net).network, q.input, q.output)]
+    for q in queries:
+        solve(q, timeout=60.0)
+    assert counts["resumed"] > 1000 and counts["above_k"] > 0
+    assert counts["at_k"] == 0
