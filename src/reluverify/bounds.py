@@ -11,9 +11,14 @@ forward layer by layer) is kept as the reference SBT is checked against:
 SBT's intervals are contained in IBP's on every neuron.
 
 SBT is a loop over one layer step with two parts: the affine step builds
-a layer's pre-activation expressions and intervals, and the ReLU step
-resolves them, phase by phase, to post-activation expressions and
-intervals.  It accepts an optional per-neuron phase vector (used by the
+a layer's pre-activation expressions and intervals, using the signed
+weight parts each ``Layer`` computes once, and the ReLU step resolves them,
+phase by phase, to post-activation expressions and intervals.  The ReLU
+step concretises nothing: an active neuron's post-activation interval is
+its pre-activation interval clamped at 0, an inactive one's is [0, 0] and
+a relaxed one's is [0, phi].
+
+SBT accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
 resulting bounds are then sound on the sub-region of the box where those
 phases hold.  A solver child differs from its parent only in the phases
@@ -95,8 +100,7 @@ def _pre_step(layer, post, box: InputBox):
     """Affine step: a layer's pre-activation expressions ``(Lc, Lk, Uc, Uk)``
     (lower and upper coefficients and constants over the raw inputs), built
     from the previous layer's post-activation ones, and their intervals."""
-    W, b = layer.weights, layer.biases
-    Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    (Wp, Wn), b = layer.weight_parts, layer.biases
     Lc, Lk, Uc, Uk = post
     pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
     pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
@@ -106,7 +110,10 @@ def _pre_step(layer, post, box: InputBox):
 def _relu_step(pre, interval, fixed, box: InputBox):
     """ReLU step: each neuron's mode, where a nonzero ``fixed`` phase
     overrides the one the interval gives, then the post-activation
-    expressions and their intervals."""
+    expressions and their intervals.  An active neuron passes its
+    pre-activation expressions and interval through (the interval clamped
+    at 0); the others get the lower expression 0 and the upper expression 0
+    (inactive) or the constant ``phi`` (relaxed)."""
     pLc, pLk, pUc, pUk = pre
     plo, phi = interval
     mode = np.zeros(plo.shape[0], dtype=np.int8)
@@ -114,17 +121,18 @@ def _relu_step(pre, interval, fixed, box: InputBox):
     mode[phi <= 0.0] = -1
     if fixed is not None:
         mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
-    Lc, Lk = pLc.copy(), pLk.copy()
-    Uc, Uk = pUc.copy(), pUk.copy()
-    inactive = mode == -1
-    Lc[inactive], Lk[inactive] = 0.0, 0.0
-    Uc[inactive], Uk[inactive] = 0.0, 0.0
-    relaxed = mode == 0
-    Lc[relaxed], Lk[relaxed] = 0.0, 0.0
-    Uc[relaxed], Uk[relaxed] = 0.0, phi[relaxed]
-    qlo, qhi = _concrete_lo(Lc, Lk, box), _concrete_hi(Uc, Uk, box)
+    active = mode == 1
+    rows = active[:, None]
+    post = (
+        np.where(rows, pLc, 0.0),
+        np.where(active, pLk, 0.0),
+        np.where(rows, pUc, 0.0),
+        np.where(active, pUk, np.where(mode == 0, phi, 0.0)),
+    )
     # Post-ReLU values are non-negative wherever the phases hold.
-    return mode, (Lc, Lk, Uc, Uk), (np.maximum(qlo, 0.0), np.maximum(qhi, 0.0))
+    qlo = np.where(active, np.maximum(plo, 0.0), 0.0)
+    qhi = np.where(mode == -1, 0.0, np.maximum(phi, 0.0))
+    return mode, post, (qlo, qhi)
 
 
 def sbt(

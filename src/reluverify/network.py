@@ -10,6 +10,7 @@ the package build new networks instead of mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,14 @@ class Layer:
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "relu", bool(relu))
+
+    @cached_property
+    def weight_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(max(W, 0), min(W, 0))``, computed once per layer, read-only."""
+        parts = np.maximum(self.weights, 0.0), np.minimum(self.weights, 0.0)
+        for part in parts:
+            part.flags.writeable = False
+        return parts
 
     @property
     def size(self) -> int:

@@ -7,11 +7,36 @@ cycling).  Each pivot is vectorised: the entering column is the lowest index
 with a negative reduced cost, still Bland's rule, and the elimination is one
 rank-1 update of the tableau.  Floating-point tableau only; intended for the
 small, well-scaled systems produced by fixed-phase network branches.
+
+Presolve.  Before building a tableau, ``feasible_point`` runs bound
+propagation over the rows and the box (``_propagation_refutes``): it checks
+each row's minimum over the box, shrinks each variable's bounds by each
+row's slack, and checks again, for at most ``PRESOLVE_SWEEPS`` sweeps,
+stopping early once no bound moves.  A one-row system gets only the first
+check, since a row over a box is met somewhere whenever its minimum meets
+it.  Most empty branch-and-bound leaves are refuted this way, without a
+pivot.
+
+Its margin is the tableau's own ``feas_tol``: propagation runs on the rows
+relaxed by ``feas_tol`` times their tableau scale ``max(|row|, 1)``, and
+crossing bounds refute only when they cross by more than ``feas_tol``.  A
+box point the tableau would accept misses each row violated at ``lo`` by at
+most ``feas_tol`` scaled (each such row carries an artificial variable, and
+their sum is at most ``feas_tol``) and meets every other row, so it meets
+every relaxed row: propagation never refutes a system the tableau solves.
+Every other system goes to the unchanged tableau on the original box, so a
+feasible system returns the same point, bit for bit, as without the
+presolve, and no witness or search decision built on it can change.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# Cap on the presolve's tightening sweeps (see "Presolve" above); the first
+# sweeps do almost all of the refuting.
+PRESOLVE_SWEEPS = 3
 
 
 class SimplexError(RuntimeError):
@@ -27,6 +52,14 @@ def feasible_point(
     feas_tol: float = 1e-8,
 ) -> np.ndarray | None:
     """Return some x with ``A x <= b`` inside the box, or None if infeasible."""
+    A, b, lo, hi = _system(A, b, lo, hi)
+    if np.any(lo > hi) or _propagation_refutes(A, b, lo, hi, feas_tol):
+        return None
+    return _tableau(A, b, lo, hi, tol, feas_tol)
+
+
+def _system(A, b, lo, hi):
+    """The system as float64 arrays, ``A`` of shape (rows, len(lo))."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64).ravel()
     lo = np.asarray(lo, dtype=np.float64)
@@ -36,8 +69,51 @@ def feasible_point(
         A = A.reshape(0, n)
     if A.shape[1] != n or A.shape[0] != b.shape[0]:
         raise ValueError("inconsistent system dimensions")
-    if np.any(lo > hi):
-        return None
+    return A, b, lo, hi
+
+
+def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> bool:
+    """True if bound propagation proves that no box point meets every row
+    of ``A x <= b`` relaxed by ``feas_tol`` times the row's tableau scale.
+
+    The rows' minima over the box are checked against their relaxed
+    right-hand sides; then, up to ``PRESOLVE_SWEEPS`` times, every variable's
+    bounds shrink by every row's slack and the minima are checked again over
+    the shrunken box.  Propagation stops early once no bound moves.  Bounds
+    that cross refute only when they cross by more than ``feas_tol``.
+    """
+    m = A.shape[0]
+    if m == 0:
+        return False
+    b = b + feas_tol * np.maximum(np.abs(A).max(axis=1), 1.0)
+    Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
+    slack = b - Ap @ lo - An @ hi
+    if (slack < 0.0).any():
+        return True
+    if m == 1:
+        return False  # one row is met somewhere in the box if its minimum meets it
+    pos, neg = A > 0.0, A < 0.0
+    inv = np.divide(1.0, A, out=np.zeros_like(A), where=pos | neg)
+    for _ in range(PRESOLVE_SWEEPS):
+        # Row i bounds x_j by its slack: a_ij > 0 caps x_j at lo_j + slack_i / a_ij,
+        # and a_ij < 0 lifts it to hi_j + slack_i / a_ij.
+        step = slack[:, None] * inv
+        new_hi = np.minimum(hi, np.where(pos, lo + step, np.inf).min(axis=0))
+        new_lo = np.maximum(lo, np.where(neg, hi + step, -np.inf).max(axis=0))
+        if (new_lo > new_hi).any():
+            return bool((new_lo > new_hi + feas_tol).any())
+        if (new_lo == lo).all() and (new_hi == hi).all():
+            return False
+        lo, hi = new_lo, new_hi
+        slack = b - Ap @ lo - An @ hi
+        if (slack < 0.0).any():
+            return True
+    return False
+
+
+def _tableau(A, b, lo, hi, tol: float, feas_tol: float) -> np.ndarray | None:
+    """Phase-I simplex on a system from ``_system`` with ``lo <= hi``."""
+    n = lo.shape[0]
 
     # Shift to u = x - lo >= 0 and fold the upper bounds in as rows.
     rows = np.vstack([A, np.eye(n)])

@@ -50,6 +50,10 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
 * ``RETRY_TOLERANCES`` are the tighter simplex pivot and feasibility
   tolerances for re-solving a leaf whose first run failed numerically or
   returned a marginal point; the first run uses the simplex defaults.
+
+The simplex's bound-propagation presolve (at most
+``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
+refutes a leaf only past the ``feas_tol`` margin the tableau applies.
 """
 
 from __future__ import annotations

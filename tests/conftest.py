@@ -11,7 +11,18 @@ import itertools
 import numpy as np
 import pytest
 
-from reluverify import InputBox, Layer, Network, OutputProperty, Query, loop
+from reluverify import (
+    InputBox,
+    Layer,
+    Network,
+    OutputProperty,
+    Query,
+    generate_benchmarks,
+    load_network,
+    load_query,
+    loop,
+    preprocess,
+)
 
 
 @pytest.fixture
@@ -155,3 +166,14 @@ def random_query(rng, net=None, nonneg=False, margin=0.3) -> Query:
     else:
         c = float(ys.max() + margin * spread)
     return Query(net, box, OutputProperty(c))
+
+
+def oracle_queries_and_split_twins(tmp_path) -> list:
+    """The 60 ``oracle-small`` queries, each followed by its query on
+    ``preprocess``'s split network."""
+    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
+    queries = []
+    for entry in manifest["queries"]:
+        q = load_query(tmp_path / entry["query"], load_network(tmp_path / entry["net"]))
+        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
+    return queries

@@ -147,3 +147,120 @@ def test_sbt_resumed_at_branch_layer_equals_from_scratch():
                     seen.add("inner")
                 result = resumed
     assert seen == {"first", "inner", "last"}
+
+
+def _loop_concrete_lo(coef, const, box):
+    return np.maximum(coef, 0.0) @ box.lower + np.minimum(coef, 0.0) @ box.upper + const
+
+
+def _loop_concrete_hi(coef, const, box):
+    return np.maximum(coef, 0.0) @ box.upper + np.minimum(coef, 0.0) @ box.lower + const
+
+
+def _loop_pre_step(layer, post, box):
+    """Reference affine step: splits ``W`` into its signed parts on every call."""
+    W, b = layer.weights, layer.biases
+    Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    Lc, Lk, Uc, Uk = post
+    pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
+    pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
+    return (pLc, pLk, pUc, pUk), (_loop_concrete_lo(pLc, pLk, box), _loop_concrete_hi(pUc, pUk, box))
+
+
+def _loop_relu_step(pre, interval, fixed, box):
+    """Reference ReLU step: masked writes into copies of the pre-activation
+    expressions, then a second pair of concretisations."""
+    pLc, pLk, pUc, pUk = pre
+    plo, phi = interval
+    mode = np.zeros(plo.shape[0], dtype=np.int8)
+    mode[plo >= 0.0] = 1
+    mode[phi <= 0.0] = -1
+    if fixed is not None:
+        mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
+    Lc, Lk = pLc.copy(), pLk.copy()
+    Uc, Uk = pUc.copy(), pUk.copy()
+    inactive = mode == -1
+    Lc[inactive], Lk[inactive] = 0.0, 0.0
+    Uc[inactive], Uk[inactive] = 0.0, 0.0
+    relaxed = mode == 0
+    Lc[relaxed], Lk[relaxed] = 0.0, 0.0
+    Uc[relaxed], Uk[relaxed] = 0.0, phi[relaxed]
+    qlo, qhi = _loop_concrete_lo(Lc, Lk, box), _loop_concrete_hi(Uc, Uk, box)
+    return mode, (Lc, Lk, Uc, Uk), (np.maximum(qlo, 0.0), np.maximum(qhi, 0.0))
+
+
+def _loop_sbt(net, box, phases):
+    """From-scratch SBT over the reference steps."""
+    eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
+    post = (eye, zero, eye, zero)
+    modes, pre_expr, pre_iv, post_iv = [], [], [], []
+    for j, layer in enumerate(net.layers):
+        expr, iv = _loop_pre_step(layer, post, box)
+        pre_expr.append(expr)
+        pre_iv.append(iv)
+        if layer.relu:
+            mode, post, iv = _loop_relu_step(expr, iv, phases[j], box)
+            modes.append(mode)
+        else:
+            post = expr
+        post_iv.append(iv)
+    return modes, pre_iv, post_iv, pre_expr
+
+
+def _sbt_bytes(modes, pre, post, pre_expr):
+    arrays = [*modes, *(a for pair in pre + post for a in pair), *(a for e in pre_expr for a in e)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_sbt_step_matches_loop_reference_byte_for_byte():
+    # sbt against the reference steps, compared with tobytes() (so even the
+    # sign of a zero counts), on random networks and their split networks
+    # with random forced phases, phases that contradict the interval,
+    # all-inactive and all-active layers, and calls resumed at a branch layer.
+    rng = np.random.default_rng(46)
+    kinds = set()
+    for _ in range(60):
+        base = random_network(rng, n_layers=int(rng.integers(1, 5)))
+        box = random_box(rng, base.input_size)
+        for net in (base, preprocess(base).network):
+            free_modes, free_bm = sbt(net, box)
+            for kind in ("none", "random", "contradict", "all-inactive", "all-active"):
+                phases = []
+                for (plo, phi), m in zip(free_bm.pre, net.hidden_sizes):
+                    ph = np.where(rng.random(m) < 0.3, rng.choice([-1, 1], size=m), 0)
+                    if kind == "none":
+                        ph[:] = 0
+                    elif kind == "contradict":
+                        ph = np.where(phi < 0.0, 1, np.where(plo > 0.0, -1, ph))
+                    elif kind in ("all-inactive", "all-active") and rng.random() < 0.5:
+                        ph[:] = -1 if kind == "all-inactive" else 1
+                    phases.append(ph.astype(np.int8))
+                phases = tuple(phases)
+                modes, bm = sbt(net, box, phases)
+                ref = _loop_sbt(net, box, phases)
+                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == _sbt_bytes(*ref)
+                if kind == "contradict" and any(np.any(p != 0) for p in phases):
+                    kinds.add(kind)
+                if any(np.all(p == -1) for p in phases):
+                    kinds.add("all-inactive")
+                # A child: new phases in one layer, resumed from this result.
+                k = int(rng.integers(0, len(phases)))
+                ph = phases[k].copy()
+                ph[rng.random(ph.size) < 0.5] = rng.choice([-1, 1])
+                child = phases[:k] + (ph,) + phases[k + 1 :]
+                modes, bm = sbt(net, box, child, (k, modes, bm))
+                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == _sbt_bytes(*_loop_sbt(net, box, child))
+    assert kinds == {"contradict", "all-inactive"}
+
+
+def test_layer_weight_parts_are_cached_and_read_only():
+    rng = np.random.default_rng(47)
+    layer = random_network(rng).layers[0]
+    Wp, Wn = layer.weight_parts
+    assert layer.weight_parts[0] is Wp and layer.weight_parts[1] is Wn
+    assert np.array_equal(Wp, np.maximum(layer.weights, 0.0))
+    assert np.array_equal(Wn, np.minimum(layer.weights, 0.0))
+    for part in (Wp, Wn):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0

@@ -1,8 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from reluverify import simplex, solver
 from reluverify.simplex import SimplexError, feasible_point
-from reluverify.solver import RETRY_TOLERANCES
+from reluverify.solver import EPSILON, RETRY_TOLERANCES, first_feasible_completion, solve
+
+from conftest import oracle_queries_and_split_twins
 
 
 def _check_point(x, A, b, lo, hi, tol=1e-7):
@@ -197,3 +202,142 @@ def test_vectorised_pivot_matches_loop_reference(tolerances):
         ties += ref_ties
     assert {"point", "none"} <= outcomes
     assert ties > 0
+
+
+DEFAULT_TOLERANCES = {
+    name: p.default for name, p in inspect.signature(feasible_point).parameters.items() if name in ("tol", "feas_tol")
+}
+
+
+def _first_check_refutes(A, b, lo, hi, feas_tol):
+    """A row's minimum over the box exceeds its right-hand side by more than
+    ``feas_tol`` times the row's tableau scale."""
+    scale = np.maximum(np.abs(A).max(axis=1), 1.0)
+    return bool(np.any(np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi > b + feas_tol * scale))
+
+
+def _compare_with_tableau(A, b, lo, hi, tolerances, counts):
+    """``feasible_point`` returns None exactly when the tableau alone does,
+    and otherwise the tableau's bytes.  Where the tableau fails numerically,
+    a refutation by propagation is also accepted.  ``counts`` tallies the
+    infeasible systems and how the propagation decided them."""
+    tol = {**DEFAULT_TOLERANCES, **tolerances}
+    ours, _ = _outcome(feasible_point, A, b, lo, hi, **tolerances)
+    system = simplex._system(A, b, lo, hi)
+    tableau, _ = _outcome(simplex._tableau, *system, **tol)
+    refuted = simplex._propagation_refutes(*system, tol["feas_tol"])
+    if tableau[0] == "error" and refuted:
+        assert ours == ("none",)
+    else:
+        assert ours == tableau
+    if tableau[0] != "point":
+        counts["infeasible"] += 1
+        counts["refuted"] += refuted
+        counts["tightened"] += refuted and not _first_check_refutes(*system, tol["feas_tol"])
+
+
+def _counts():
+    return {"infeasible": 0, "refuted": 0, "tightened": 0}
+
+
+def test_presolve_agrees_with_tableau_on_solver_leaves_and_completions(tmp_path, monkeypatch):
+    # Every leaf LP solve reaches on the oracle-small queries and their split
+    # networks, and every completion first_feasible_completion enumerates on
+    # the oracle-small queries: propagation never claims a system empty that
+    # the tableau solves, and it decides most of the empty ones.
+    systems = []
+    real = solver.feasible_point
+
+    def recording(A, b, lo, hi, **tolerances):
+        systems.append((A, b, lo, hi, tolerances))
+        return real(A, b, lo, hi, **tolerances)
+
+    monkeypatch.setattr(solver, "feasible_point", recording)
+    queries = oracle_queries_and_split_twins(tmp_path)
+    for q in queries:
+        solve(q, timeout=60.0)
+    n_leaves = len(systems)
+    for q in queries[::2]:
+        phases = [np.zeros(size, dtype=np.int8) for size in q.network.hidden_sizes]
+        first_feasible_completion(q.network, q.input, phases, q.output.threshold + EPSILON)
+    for part in (systems[:n_leaves], systems[n_leaves:]):
+        counts = _counts()
+        for A, b, lo, hi, tolerances in part:
+            _compare_with_tableau(A, b, lo, hi, tolerances, counts)
+        assert counts["infeasible"] > 300, counts
+        assert counts["refuted"] > 0.9 * counts["infeasible"], counts
+        assert counts["tightened"] > 0, counts
+
+
+def _marginal_rhs(rng, A, lo, hi, feas_tol):
+    """Right-hand sides that put each row's minimum over the box just inside
+    (``A x <= b`` misses by under ``feas_tol`` scaled) or just outside the
+    tableau's margin."""
+    scale = np.maximum(np.abs(A).max(axis=1), 1.0)
+    row_min = np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi
+    return row_min - rng.choice([0.5, 2.0], size=A.shape[0]) * feas_tol * scale
+
+
+def _presolve_systems(rng, count, feas_tol):
+    """Seeded systems with 0, 1 and many rows, over boxes with point
+    coordinates, with equalities written as two rows, feasible at a single
+    point, or within or just past the tableau's margin."""
+    for i in range(count):
+        n = int(rng.integers(1, 6))
+        lo = rng.uniform(-1.0, 0.5, size=n)
+        hi = lo + rng.uniform(0.0, 1.5, size=n)
+        if i % 7 == 0:
+            hi = np.where(rng.random(n) < 0.5, lo, hi)  # point coordinates
+        m = int(rng.choice([0, 1, 1, int(rng.integers(2, 16))]))
+        A = rng.uniform(-2.0, 2.0, size=(m, n))
+        A[rng.random((m, n)) < 0.2] = 0.0
+        b = rng.uniform(-1.5, 2.0, size=m)
+        kind = i % 5
+        if kind == 1 and m:  # equalities as two rows, through a box point
+            x = rng.uniform(lo, hi)
+            A = np.vstack([A, -A])
+            b = np.concatenate([A[:m] @ x, -(A[:m] @ x)])
+        elif kind == 2:  # feasible at one point only: M x <= M p and -M x <= -M p
+            M = rng.uniform(-2.0, 2.0, size=(n, n)) + 3.0 * np.eye(n)
+            p = rng.uniform(lo, hi)
+            A = np.vstack([M, -M, A])
+            b = np.concatenate([M @ p, -(M @ p), b])
+        elif kind == 3 and m:  # rows missing by about the tableau's margin
+            b = _marginal_rhs(rng, A, lo, hi, feas_tol)
+        yield A, b, lo, hi
+
+
+@pytest.mark.parametrize("tolerances", [{}, RETRY_TOLERANCES], ids=["default", "retry"])
+def test_presolve_agrees_with_tableau_on_seeded_systems(tolerances):
+    rng = np.random.default_rng(72)
+    feas_tol = {**DEFAULT_TOLERANCES, **tolerances}["feas_tol"]
+    counts, outcomes = _counts(), set()
+    for A, b, lo, hi in _presolve_systems(rng, 1500, feas_tol):
+        _compare_with_tableau(A, b, lo, hi, tolerances, counts)
+        outcomes.add((A.shape[0] > 1, feasible_point(A, b, lo, hi, **tolerances) is None))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    assert counts["refuted"] > 0.5 * counts["infeasible"] and counts["tightened"] > 0, counts
+
+
+def test_presolve_keeps_rows_within_the_tableau_margin():
+    # x <= 0.5 and x >= 0.5 + delta: the tableau returns a point when delta is
+    # under feas_tol, and the presolve must not refute it; well past the
+    # margin both refute.
+    lo, hi = np.array([0.0]), np.array([1.0])
+    A = np.array([[1.0], [-1.0]])
+    for delta, feasible in ((0.5e-8, True), (5e-8, False)):
+        b = np.array([0.5, -0.5 - delta])
+        assert simplex._propagation_refutes(A, b, lo, hi, 1e-8) is not feasible
+        assert (feasible_point(A, b, lo, hi) is not None) is feasible
+    # Rows whose minima fit the box, but which propagation refutes: the first
+    # system needs raised lower bounds, the second lowered upper bounds
+    # (y <= 0.1 and x <= 0.5, while x + y >= 1).
+    lo, hi = np.zeros(2), np.ones(2)
+    for A, b in (
+        ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, -0.6, -0.6]),
+        ([[0.0, 1.0], [-1.0, -1.0], [1.0, 0.0]], [0.1, -1.0, 0.5]),
+    ):
+        A, b = np.array(A), np.array(b)
+        assert not _first_check_refutes(A, b, lo, hi, 1e-8)
+        assert simplex._propagation_refutes(A, b, lo, hi, 1e-8)
+        assert feasible_point(A, b, lo, hi) is None

@@ -21,7 +21,13 @@ from reluverify import solver
 from reluverify.bounds import BoundsMap
 from reluverify.solver import EPSILON, _leaf_rows, _widest_unknown
 
-from conftest import oracle_verdict, random_oracle_network, random_query, random_network
+from conftest import (
+    oracle_queries_and_split_twins,
+    oracle_verdict,
+    random_network,
+    random_oracle_network,
+    random_query,
+)
 
 
 def test_running_example_unsat(query121):
@@ -189,17 +195,6 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
             assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-def _oracle_queries_and_split_twins(tmp_path) -> list:
-    """The 60 ``oracle-small`` queries, each followed by its query on
-    ``preprocess``'s split network."""
-    manifest = generate_benchmarks(42, 60, tmp_path, kind="oracle")
-    queries = []
-    for entry in manifest["queries"]:
-        q = load_query(tmp_path / entry["query"], load_network(tmp_path / entry["net"]))
-        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
-    return queries
-
-
 def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypatch):
     # Every leaf solve reaches on the oracle-small queries and their split
     # networks: the LP with rows for the branch-fixed neurons only is
@@ -213,7 +208,7 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
         return real(net, box, modes, phases, threshold)
 
     monkeypatch.setattr(solver, "_solve_leaf", recording)
-    for q in _oracle_queries_and_split_twins(tmp_path):
+    for q in oracle_queries_and_split_twins(tmp_path):
         solve(q, timeout=60.0)
     feasible = dropped = 0
     for net, box, modes, phases, threshold in leaves:
@@ -286,7 +281,7 @@ def _resume_calls(monkeypatch, resume: bool) -> list:
 def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
     # Resuming node bounds from the parent gives the same bounds, so the
     # whole search is the same: verdicts, node counts and witnesses.
-    queries = _oracle_queries_and_split_twins(tmp_path)
+    queries = oracle_queries_and_split_twins(tmp_path)
     rng = np.random.default_rng(76)
     for _ in range(20):
         n_in = int(rng.integers(1, 4))
@@ -334,7 +329,7 @@ def test_resumed_node_never_conflicts_at_its_branch_layer(tmp_path, monkeypatch)
         return modes, bm
 
     monkeypatch.setattr(solver, "sbt", checking)
-    queries = _oracle_queries_and_split_twins(tmp_path)
+    queries = oracle_queries_and_split_twins(tmp_path)
     rng = np.random.default_rng(77)
     for _ in range(20):
         net = random_network(rng, n_layers=2, max_width=8)
