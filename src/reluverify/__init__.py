@@ -17,7 +17,7 @@ from .bounds import (
     sbt,
     tighten_property,
 )
-from .categorize import Category, CategorizedNetwork, Direction, Sign, preprocess
+from .categorize import CategorizedNetwork, preprocess
 from .formats import (
     FormatError,
     load_network,
@@ -52,9 +52,7 @@ __all__ = [
     "BenchmarkRecord",
     "BoundsMap",
     "CannotRefineError",
-    "Category",
     "CategorizedNetwork",
-    "Direction",
     "FormatError",
     "InputBox",
     "Layer",
@@ -64,7 +62,6 @@ __all__ = [
     "Query",
     "RobustnessSpec",
     "RunStats",
-    "Sign",
     "Status",
     "ValidationError",
     "Verdict",

@@ -40,7 +40,7 @@ from itertools import chain
 
 import numpy as np
 
-from .categorize import CategorizedNetwork
+from .categorize import CATEGORY_NAMES, CategorizedNetwork
 from .network import Layer, Network, hidden_values
 
 Groups = tuple[tuple[tuple[int, ...], ...], ...]
@@ -127,8 +127,9 @@ class AbstractionState:
     def hidden_sizes(self) -> list[int]:
         return [len(layer) for layer in self.groups]
 
-    def group_category(self, layer: int, gi: int):
-        return self.base.categories[layer][self.groups[layer][gi][0]]
+    def group_category(self, layer: int, gi: int) -> int:
+        """The category code shared by the members of group ``gi``."""
+        return int(self.base.categories[layer][self.groups[layer][gi][0]])
 
     def provenance(self) -> dict:
         """JSON-friendly debug dump: which base neurons each abstract neuron
@@ -138,8 +139,8 @@ class AbstractionState:
                 [
                     {
                         "members": list(g),
-                        "category": str(self.group_category(k, gi)),
-                        "origins": [self.base.origins[k][m] for m in g],
+                        "category": CATEGORY_NAMES[self.group_category(k, gi)],
+                        "origins": self.base.origins[k][list(g)].tolist(),
                     }
                     for gi, g in enumerate(layer_groups)
                 ]
@@ -169,10 +170,9 @@ def merge_pair(state: AbstractionState, a: tuple[int, int], b: tuple[int, int]) 
         raise ValueError(f"cannot merge across layers ({la} vs {lb})")
     if ga == gb:
         raise ValueError("cannot merge a group with itself")
-    if state.group_category(la, ga) != state.group_category(lb, gb):
-        raise ValueError(
-            f"category mismatch: {state.group_category(la, ga)} vs {state.group_category(lb, gb)}"
-        )
+    ca, cb = state.group_category(la, ga), state.group_category(lb, gb)
+    if ca != cb:
+        raise ValueError(f"category mismatch: {CATEGORY_NAMES[ca]} vs {CATEGORY_NAMES[cb]}")
     if la == 0 and not state.nonneg_inputs:
         raise ValueError("first hidden layer merges require a non-negative input box")
     layer = list(state.groups[la])
@@ -190,14 +190,11 @@ def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False
     (sound for arbitrary input boxes).
     """
     groups = []
-    for k, cats in enumerate(base.categories):
+    for k, codes in enumerate(base.categories):
         if k == 0 and not nonneg_inputs:
-            groups.append([(j,) for j in range(len(cats))])
-            continue
-        by_cat: dict = {}
-        for j, c in enumerate(cats):
-            by_cat.setdefault(c, []).append(j)
-        groups.append([tuple(v) for v in by_cat.values()])
+            groups.append([(j,) for j in range(len(codes))])
+        else:
+            groups.append([tuple(np.flatnonzero(codes == c).tolist()) for c in np.unique(codes)])
     return _make_state(base, groups, nonneg_inputs)
 
 

@@ -5,11 +5,15 @@ outgoing edges agree in sign (pos/neg) and in the direction of their effect
 on the single output (inc/dec).  The transformed network computes exactly
 the same function; the point of the exercise is that same-category neurons
 can later be merged soundly.
+
+A category is a small integer code, an index into ``CATEGORY_NAMES``: bit 1
+is the sign (set for neg) and bit 0 the direction (set for dec).  A neuron's
+copies are made in code order, so sorting by code puts pos before neg and
+inc before dec, and the copies of one neuron come out in that fixed order.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,37 +21,12 @@ import numpy as np
 
 from .network import Layer, Network
 
-
-class Sign(enum.Enum):
-    POS = "pos"
-    NEG = "neg"
+CATEGORY_NAMES = ("pos-inc", "pos-dec", "neg-inc", "neg-dec")
 
 
-class Direction(enum.Enum):
-    INC = "inc"
-    DEC = "dec"
-
-
-def _flip(d: Direction) -> Direction:
-    return Direction.DEC if d is Direction.INC else Direction.INC
-
-
-@dataclass(frozen=True)
-class Category:
-    sign: Sign
-    direction: Direction
-
-    def __str__(self):
-        return f"{self.sign.value}-{self.direction.value}"
-
-
-# Deterministic bucket order: pos before neg, inc before dec.
-CATEGORY_ORDER = (
-    Category(Sign.POS, Direction.INC),
-    Category(Sign.POS, Direction.DEC),
-    Category(Sign.NEG, Direction.INC),
-    Category(Sign.NEG, Direction.DEC),
-)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +34,19 @@ class CategorizedNetwork:
     """A split network plus, per hidden layer, each copy's category and origin.
 
     ``categories[k][j]`` / ``origins[k][j]`` describe neuron ``j`` of hidden
-    layer ``k``; origins index neurons of the source network's same layer.
+    layer ``k``: its category code (an int8 index into ``CATEGORY_NAMES``)
+    and the neuron of the source network's same layer it was copied from.
+    Both are read-only arrays.
     """
 
     network: Network
-    categories: tuple[tuple[Category, ...], ...]
-    origins: tuple[tuple[int, ...], ...]
+    categories: tuple[np.ndarray, ...]
+    origins: tuple[np.ndarray, ...]
 
     @cached_property
     def increasing(self) -> tuple[np.ndarray, ...]:
         """Per hidden layer, a boolean array: True where a neuron is inc."""
-        return tuple(np.array([c.direction is Direction.INC for c in cats], dtype=bool) for cats in self.categories)
+        return tuple((codes & 1) == 0 for codes in self.categories)
 
     @cached_property
     def outgoing_weight(self) -> tuple[np.ndarray, ...]:
@@ -73,24 +54,23 @@ class CategorizedNetwork:
         return tuple(np.abs(layer.weights).sum(axis=0) for layer in self.network.layers[1:])
 
 
-def _edge_category(weight: float, target_dir: Direction) -> Category:
-    # Zero weights satisfy either sign constraint; ties go to pos/inc.
-    if weight > 0:
-        return Category(Sign.POS, target_dir)
-    if weight < 0:
-        return Category(Sign.NEG, _flip(target_dir))
-    return Category(Sign.POS, Direction.INC)
+def _edge_codes(W: np.ndarray, target_dec: np.ndarray) -> np.ndarray:
+    """The category each edge of ``W`` imposes on its source neuron (column),
+    given each target's (row's) direction bit; -1 for a zero weight.  A
+    positive edge keeps the target's direction and a negative one flips it."""
+    dec = target_dec[:, None]
+    return np.where(W > 0, dec, np.where(W < 0, 3 - dec, -1))
 
 
 def preprocess(net: Network) -> CategorizedNetwork:
     """Split hidden neurons into categorized copies, output values unchanged.
 
-    Works backward from the output layer: each neuron's outgoing edges are
-    partitioned by the category they impose, one copy is created per
-    non-empty bucket (keeping just that bucket's edges), and incoming edges
-    are duplicated to all copies.  Neurons left with no outgoing edges are
-    dropped; a layer that would become empty keeps a single zero neuron so
-    the layer structure stays valid.
+    Works backward from the output layer, one whole layer at a time: each
+    neuron gets one copy per category among its outgoing edges, keeping just
+    that category's edges, and incoming edges are duplicated to all copies.
+    Neurons with no non-zero outgoing edge are dropped; a layer that would
+    become empty keeps a single zero neuron so the layer structure stays
+    valid.
     """
     if net.output_size != 1:
         raise ValueError("preprocess requires a single-output network")
@@ -98,40 +78,25 @@ def preprocess(net: Network) -> CategorizedNetwork:
     n = len(net.layers)
     new_weights = [layer.weights for layer in net.layers]
     new_biases = [layer.biases for layer in net.layers]
-    target_dirs: list[Direction] = [Direction.INC]  # the single output neuron
-    categories: list[tuple[Category, ...]] = [()] * (n - 1)
-    origins: list[tuple[int, ...]] = [()] * (n - 1)
+    target_dec = np.zeros(1, dtype=np.int8)  # the single output neuron is inc
+    categories: list[np.ndarray] = [None] * (n - 1)
+    origins: list[np.ndarray] = [None] * (n - 1)
 
     for k in range(n - 2, -1, -1):
-        out_W = new_weights[k + 1]  # rows: processed layer k+1, cols: original layer k
-        cols, cats, origin = [], [], []
-        for j in range(out_W.shape[1]):
-            col = out_W[:, j]
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue  # dead neuron: contributes nothing downstream
-            buckets: dict[Category, list[int]] = {}
-            for t in nz:
-                buckets.setdefault(_edge_category(col[t], target_dirs[t]), []).append(t)
-            for cat in CATEGORY_ORDER:
-                if cat not in buckets:
-                    continue
-                new_col = np.zeros(out_W.shape[0])
-                new_col[buckets[cat]] = col[buckets[cat]]
-                cols.append(new_col)
-                cats.append(cat)
-                origin.append(j)
-        if not cols:
-            # All-zero outgoing layer; keep one inert neuron.
-            cols = [np.zeros(out_W.shape[0])]
-            cats = [Category(Sign.POS, Direction.INC)]
-            origin = [0]
-        new_weights[k + 1] = np.column_stack(cols)
+        W = new_weights[k + 1]  # rows: processed layer k+1, cols: original layer k
+        code = _edge_codes(W, target_dec)
+        present = np.array([(code == c).any(axis=0) for c in range(len(CATEGORY_NAMES))])
+        origin, cats = np.nonzero(present.T)  # by source neuron, then by code
+        if origin.size == 0:
+            # All-zero outgoing layer; keep one inert pos-inc neuron.
+            origin, cats = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        cats = cats.astype(np.int8)
+        new_weights[k + 1] = np.where(code[:, origin] == cats, W[:, origin], 0.0)
         new_weights[k] = net.layers[k].weights[origin, :]
         new_biases[k] = net.layers[k].biases[origin]
-        categories[k] = tuple(cats)
-        origins[k] = tuple(origin)
-        target_dirs = [c.direction for c in cats]
+        target_dec = cats & 1
+        categories[k] = _read_only(cats)
+        origins[k] = _read_only(origin)
 
     layers = [
         Layer(new_weights[k], new_biases[k], relu=k < n - 1) for k in range(n)
@@ -152,19 +117,17 @@ def check_category_invariants(cat: CategorizedNetwork) -> None:
     """
     net = cat.network
     for k in range(len(net.layers) - 1):
-        out_W = net.layers[k + 1].weights  # rows: layer k+1 targets
+        W = net.layers[k + 1].weights  # rows: layer k+1 targets
+        codes = cat.categories[k]
         if k + 1 < len(net.layers) - 1:
-            tdirs = [c.direction for c in cat.categories[k + 1]]
+            target_dec = cat.categories[k + 1] & 1
         else:
-            tdirs = [Direction.INC] * out_W.shape[0]
-        for j, c in enumerate(cat.categories[k]):
-            col = out_W[:, j]
-            if c.sign is Sign.POS:
-                assert np.all(col >= 0.0), f"pos neuron ({k},{j}) has a negative outgoing edge"
-            else:
-                assert np.all(col <= 0.0), f"neg neuron ({k},{j}) has a positive outgoing edge"
-            for t in np.flatnonzero(col):
-                same = tdirs[t] is c.direction
-                ok = (col[t] > 0 and same) or (col[t] < 0 and not same)
-                assert ok, f"neuron ({k},{j}) {c}: edge {col[t]} to {tdirs[t].value} target"
-
+            target_dec = np.zeros(W.shape[0], dtype=np.int8)
+        same = target_dec[:, None] == (codes & 1)
+        wrong_sign = np.where(codes & 2, W > 0.0, W < 0.0)
+        wrong_direction = np.where(W > 0.0, ~same, (W < 0.0) & same)
+        for rule, wrong in (("sign", wrong_sign), ("direction", wrong_direction)):
+            t, j = np.unravel_index(np.argmax(wrong), W.shape)
+            assert not wrong[t, j], (
+                f"neuron ({k},{j}) {CATEGORY_NAMES[codes[j]]}: edge {W[t, j]} to target {t} has the wrong {rule}"
+            )

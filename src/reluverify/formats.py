@@ -61,6 +61,8 @@ def network_from_dict(doc: dict, where: str = "network") -> Network:
     domain = None
     if "domain" in doc:
         dd = doc["domain"]
+        if not isinstance(dd, dict):
+            raise FormatError(f"{where}: 'domain' must be an object")
         domain = (_require(dd, "lower", f"{where}: domain"), _require(dd, "upper", f"{where}: domain"))
     return Network(layers, input_size, domain=domain)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import output_bounds
 from .formats import load_network, load_query, save_network, save_query
-from .loop import verify
+from .loop import MODES, verify
 from .network import (
     InputBox,
     Layer,
@@ -314,8 +314,10 @@ def run_bench(
     strict wins on time and on refinement count among commonly finished
     queries.
     """
-    manifest = load_manifest(suite_dir)
     modes = list(modes)
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
+        raise ValidationError(f"modes must be distinct values from {', '.join(MODES)}; got {modes}")
+    manifest = load_manifest(suite_dir)
     tasks = [
         (
             entry["id"],

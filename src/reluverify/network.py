@@ -19,8 +19,15 @@ class ValidationError(ValueError):
     """A structurally well-formed object violates a semantic constraint."""
 
 
+def _as_floats(values, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{name}: expected numbers ({e})") from e
+
+
 def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = _as_floats(values, name)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"{name}: expected a non-empty 2-D matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -30,7 +37,7 @@ def _as_matrix(values, name: str) -> np.ndarray:
 
 
 def _as_vector(values, name: str, length: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = _as_floats(values, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name}: expected a 1-D vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
@@ -89,6 +96,8 @@ class Network:
         layers = tuple(layers)
         if not layers:
             raise ValidationError("network needs at least one layer")
+        if not isinstance(input_size, (int, np.integer)) or isinstance(input_size, bool):
+            raise ValidationError(f"input_size must be an integer, got {input_size!r}")
         if input_size <= 0:
             raise ValidationError("input_size must be positive")
         prev = input_size
@@ -156,7 +165,10 @@ class OutputProperty:
     threshold: float
 
     def __init__(self, threshold: float):
-        t = float(threshold)
+        try:
+            t = float(threshold)
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"threshold must be a number, got {threshold!r}") from e
         if not np.isfinite(t):
             raise ValidationError("threshold must be finite")
         object.__setattr__(self, "threshold", t)
@@ -187,11 +199,9 @@ def evaluate(net: Network, x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (net.input_size,):
         raise ValueError(f"input has shape {v.shape}, expected ({net.input_size},)")
-    for layer in net.layers:
-        v = layer.weights @ v + layer.biases
-        if layer.relu:
-            v = np.maximum(v, 0.0)
-    return v
+    hidden = hidden_values(net, v)
+    out = net.layers[-1]
+    return out.weights @ (hidden[-1] if hidden else v) + out.biases
 
 
 def hidden_values(net: Network, x) -> list[np.ndarray]:

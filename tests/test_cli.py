@@ -5,7 +5,7 @@ import json
 import pytest
 
 import reluverify
-from reluverify import save_network, save_query, verify
+from reluverify import generate_benchmarks, save_network, save_query, verify
 from reluverify.bounds import output_bounds, output_gap, tighten_property
 from reluverify.cli import _build_parser, main
 
@@ -75,6 +75,40 @@ def test_malformed_file_exit_1(tmp_path, query_files):
     assert main(["verify", "--net", str(bad), "--prop", prop]) == 1
 
 
+_MALFORMED = [
+    pytest.param(0, lambda doc: doc["layers"][0].update(weights="ab"), id="text-weights"),
+    pytest.param(0, lambda doc: doc["layers"][0].update(weights=[[10.0], [1.0, 2.0]]), id="ragged-weights"),
+    pytest.param(0, lambda doc: doc.update(input_size="1"), id="text-input-size"),
+    pytest.param(0, lambda doc: doc.update(domain="lowerupper"), id="text-domain"),
+    pytest.param(1, lambda doc: doc.update(output_threshold="x"), id="text-threshold"),
+    pytest.param(1, lambda doc: doc.update(output_threshold=None), id="null-threshold"),
+]
+
+
+@pytest.mark.parametrize("which, edit", _MALFORMED)
+def test_malformed_values_exit_1_with_one_line(query_files, capsys, which, edit):
+    path = query_files[which]
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    net, prop = query_files
+    assert main(["verify", "--net", net, "--prop", prop]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reluverify: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("modes", ["direct,cegr", ",", "cegar,cegar"])
+def test_bench_rejects_bad_modes(tmp_path, capsys, modes):
+    suite = tmp_path / "suite"
+    generate_benchmarks(2, 1, suite)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--suite", str(suite), "--modes", modes, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("reluverify: modes must be")
+    assert not out.exists()
+
+
 def test_gen_and_bench_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     assert main(["gen", "--seed", "2", "--count", "5", "--out", str(suite)]) == 0
@@ -132,5 +166,5 @@ def test_option_surface():
     assert _signature(output_bounds) == _required("net", "box")
     assert _signature(output_gap) == _required("abstract", "original", "box")
     assert _signature(tighten_property) == _required("abstract", "original", "box", "prop")
-    for gone in ("BoundMethod", "SymbolicBoundsMap"):
+    for gone in ("BoundMethod", "SymbolicBoundsMap", "Category", "Sign", "Direction"):
         assert not hasattr(reluverify, gone) and gone not in reluverify.__all__

@@ -211,6 +211,20 @@ def test_manifest_roundtrip(tmp_path):
     assert load_manifest(suite) == manifest
 
 
+@pytest.mark.parametrize("modes", [[], ["direct", "cegr"], ["cegar", "direct", "cegar"]])
+def test_run_bench_rejects_bad_modes_before_any_task(tmp_path, monkeypatch, modes):
+    import reluverify.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "verify", lambda *a, **kw: calls.append(a))
+    suite = tmp_path / "suite"
+    generate_benchmarks(17, 2, suite, kind="oracle")
+    out = tmp_path / "results.csv"
+    with pytest.raises(ValidationError, match="modes must be"):
+        run_bench(suite, modes, out_csv=out)
+    assert calls == [] and not out.exists()
+
+
 def test_error_records_carry_the_exception(tmp_path, monkeypatch):
     import reluverify.harness as harness
 
