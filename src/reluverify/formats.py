@@ -64,7 +64,10 @@ def network_from_dict(doc: dict, where: str = "network") -> Network:
         if not isinstance(dd, dict):
             raise FormatError(f"{where}: 'domain' must be an object")
         domain = (_require(dd, "lower", f"{where}: domain"), _require(dd, "upper", f"{where}: domain"))
-    return Network(layers, input_size, domain=domain)
+    try:
+        return Network(layers, input_size, domain=domain)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from e
 
 
 def save_network(net: Network, path) -> None:
@@ -159,7 +162,11 @@ def load_query(path, net: Network) -> Query:
             raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")
-    box = InputBox(_require(doc, "input_lower", str(path)), _require(doc, "input_upper", str(path)))
-    prop = OutputProperty(_require(doc, "output_threshold", str(path)))
-    return Query(net, box, prop)
+    where = str(path)
+    lower, upper = _require(doc, "input_lower", where), _require(doc, "input_upper", where)
+    threshold = _require(doc, "output_threshold", where)
+    try:
+        return Query(net, InputBox(lower, upper), OutputProperty(threshold))
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from e
 

@@ -37,6 +37,7 @@ class RunStats:
     thresholds: list[float] = field(default_factory=list)
     solver_times: list[float] = field(default_factory=list)
     solver_nodes: int = 0
+    sampled_counterexamples: int = 0  # solves whose SAT witness came from the root falsifier
     total_time: float = 0.0
     initial_excess: int | None = None
 
@@ -56,9 +57,9 @@ def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdic
     def remaining():
         return None if timeout is None else timeout - (time.monotonic() - start)
 
-    def finish(status: Status, witness=None) -> tuple[Verdict, RunStats]:
+    def finish(status: Status, witness=None, sampled: bool = False) -> tuple[Verdict, RunStats]:
         stats.total_time = time.monotonic() - start
-        return Verdict(status, witness, stats.solver_nodes, stats.total_time), stats
+        return Verdict(status, witness, stats.solver_nodes, stats.total_time, sampled), stats
 
     base = preprocess(q.network)
     nonneg = bool(np.all(q.input.lower >= 0.0))
@@ -85,12 +86,13 @@ def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdic
         v = solve(Query(state.network, q.input, prop), timeout=budget)
         stats.solver_times.append(v.time)
         stats.solver_nodes += v.nodes
+        stats.sampled_counterexamples += v.sampled
 
         if v.status is not Status.SAT:
             return finish(v.status)
         x0 = v.witness
         if is_genuine(q, x0):
-            return finish(Status.SAT, x0)
+            return finish(Status.SAT, x0, v.sampled)
         state = refine_split(state, x0)
         stats.refinement_steps += 1
 
@@ -110,5 +112,6 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
     stats.thresholds.append(q.output.threshold)
     stats.solver_times.append(v.time)
     stats.solver_nodes = v.nodes
+    stats.sampled_counterexamples = int(v.sampled)
     stats.total_time = time.monotonic() - start
     return v, stats

@@ -40,6 +40,21 @@ Sharing is safe because no code changes a phase array or a stored
 widest pre-activation interval, the first in layer order, then in index
 order, on ties.
 
+Before the root branches, ``_falsify`` looks for a SAT witness by
+sampling.  It runs once per ``solve``, at the root, when the root bound
+has neither pruned nor given a midpoint witness, and only if the root is
+not a leaf, which is one LP already.  One numpy batch, the box midpoint
+and ``FALSIFY_SAMPLES`` uniform box points from a fixed seed, takes
+``FALSIFY_STEPS`` signed-gradient steps clipped to the box.  A point
+counts only if it reaches ``c + EPSILON`` and passes ``is_witness``.  That
+is the leaf LP's reach rule, so when the maximum lies in the granularity
+band ``(c, c + EPSILON)`` the falsifier finds nothing and ``direct`` keeps
+its UNSAT answer.  After a miss the search runs as without the falsifier,
+and UNSAT still comes only from that complete search, so soundness and
+completeness are unchanged.  The two counts are constants, not options,
+and the fixed seed keeps verdicts and witnesses deterministic.
+``Verdict.sampled`` says whether the witness came from the falsifier.
+
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
 * ``EPSILON`` is the decision granularity of the strict property ``y > c``.
@@ -74,6 +89,8 @@ ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0
 EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
 RETRY_TOLERANCES = {"tol": 1e-11, "feas_tol": 1e-10}
+FALSIFY_SAMPLES = 256
+FALSIFY_STEPS = 5
 
 
 class Status(str, enum.Enum):
@@ -95,6 +112,7 @@ class Verdict:
     witness: np.ndarray | None
     nodes: int
     time: float
+    sampled: bool = False  # the witness came from the root falsifier
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +120,7 @@ class Verdict:
             "witness": None if self.witness is None else self.witness.tolist(),
             "nodes": self.nodes,
             "time": self.time,
+            "sampled": self.sampled,
         }
 
 
@@ -178,6 +197,42 @@ def _assert_no_sat_leaf(net, box, phases, threshold):
     assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
 
 
+def _falsify(net: Network, box: InputBox, c: float):
+    """A box point reaching ``c + EPSILON`` found by sampling, or None.
+
+    One numpy batch: the box midpoint and ``FALSIFY_SAMPLES`` uniform box
+    points from a fixed seed, moved by ``FALSIFY_STEPS`` signed-gradient
+    steps clipped to the box.  The step starts at a quarter of the box width
+    and halves each time; each point's gradient comes from its own ReLU
+    phases.  The best point of the first batch that reaches the target is
+    returned if its exact output also does and ``is_witness`` accepts it.
+    """
+    lo, hi = box.lower, box.upper
+    rng = np.random.default_rng(0)
+    X = np.vstack([box.midpoint(), rng.uniform(lo, hi, size=(FALSIFY_SAMPLES, box.dim))])
+    step = 0.25 * (hi - lo)
+    *hidden, out = net.layers
+    for s in range(FALSIFY_STEPS + 1):
+        V, masks = X, []
+        for layer in hidden:
+            Z = V @ layer.weights.T + layer.biases
+            masks.append(Z > 0.0)
+            V = np.where(masks[-1], Z, 0.0)
+        y = V @ out.weights[0] + out.biases[0]
+        best = int(np.argmax(y))
+        if y[best] >= c + EPSILON:
+            x = X[best].copy()
+            if evaluate(net, x)[0] >= c + EPSILON and is_witness(net, x, c):
+                return x
+        if s == FALSIFY_STEPS:
+            return None
+        G = np.broadcast_to(out.weights[0], V.shape)
+        for layer, mask in zip(reversed(hidden), reversed(masks)):
+            G = (G * mask) @ layer.weights
+        X = np.clip(X + step * np.sign(G), lo, hi)
+        step = 0.5 * step
+
+
 def _widest_unknown(relu_modes, bm):
     """The unknown neuron ``(k, i)`` with the widest pre-activation interval,
     or None if there is none; ties go to the first in layer order, then in
@@ -205,8 +260,8 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
     start = time.monotonic()
     nodes = 0
 
-    def verdict(status: Status, witness=None) -> Verdict:
-        return Verdict(status, witness, nodes, time.monotonic() - start)
+    def verdict(status: Status, witness=None, sampled: bool = False) -> Verdict:
+        return Verdict(status, witness, nodes, time.monotonic() - start, sampled)
 
     def timed_out() -> bool:
         return timeout is not None and time.monotonic() - start >= timeout
@@ -251,6 +306,10 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
             if x is not None:
                 return verdict(Status.SAT, x)
             continue
+        if resume is None:
+            x = _falsify(net, box, c)
+            if x is not None:
+                return verdict(Status.SAT, x, sampled=True)
         k, i = branch
         W, b = net.layers[k].weights, net.layers[k].biases
         twins = np.flatnonzero((W == W[i]).all(axis=1) & (b == b[i]))

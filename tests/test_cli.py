@@ -5,7 +5,18 @@ import json
 import pytest
 
 import reluverify
-from reluverify import generate_benchmarks, save_network, save_query, verify
+from reluverify import (
+    MODES,
+    InputBox,
+    Layer,
+    Network,
+    OutputProperty,
+    Query,
+    generate_benchmarks,
+    save_network,
+    save_query,
+    verify,
+)
 from reluverify.bounds import output_bounds, output_gap, tighten_property
 from reluverify.cli import _build_parser, main
 
@@ -25,8 +36,8 @@ def test_verify_unsat(query_files, tmp_path, capsys):
     assert code == 0
     assert "verdict: UNSAT" in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["verdict"]["status"] == "UNSAT"
-    assert doc["stats"]["refinement_steps"] == 0
+    assert doc["verdict"]["status"] == "UNSAT" and doc["verdict"]["sampled"] is False
+    assert doc["stats"]["refinement_steps"] == 0 and doc["stats"]["sampled_counterexamples"] == 0
     assert doc["stats"]["thresholds"] == [1486.0]
 
 
@@ -97,6 +108,42 @@ def test_malformed_values_exit_1_with_one_line(query_files, capsys, which, edit)
     assert main(["verify", "--net", net, "--prop", prop]) == 1
     err = capsys.readouterr().err
     assert err.startswith("reluverify: ") and err.count("\n") == 1, err
+
+
+_MISBUILT = [
+    pytest.param(0, lambda doc: doc.update(input_size="1"), id="network-input-size"),
+    pytest.param(0, lambda doc: doc.update(domain={"lower": [1.0], "upper": [0.0]}), id="network-domain"),
+    pytest.param(1, lambda doc: doc.update(output_threshold="x"), id="query-threshold"),
+    pytest.param(1, lambda doc: doc.update(input_lower=[22.0]), id="query-box"),
+    pytest.param(1, lambda doc: doc.update(input_lower=[20.0, 0.0], input_upper=[21.0, 1.0]), id="query-dimension"),
+]
+
+
+@pytest.mark.parametrize("which, edit", _MISBUILT)
+def test_errors_building_network_or_query_name_the_file(query_files, capsys, which, edit):
+    path = query_files[which]
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    net, prop = query_files
+    assert main(["verify", "--net", net, "--prop", prop]) == 1
+    assert capsys.readouterr().err.startswith(f"reluverify: {path}: ")
+
+
+def test_out_reports_sampled_counterexamples(tmp_path):
+    # y = |x| - 0.5 on [-1, 1] with c = 0: the root is unstable and the
+    # midpoint misses c, so the falsifier finds the witness in every mode.
+    net = Network([Layer([[1.0], [-1.0]], [0.0, 0.0], True), Layer([[1.0, 1.0]], [-0.5], False)], 1)
+    net_path, prop_path, out = tmp_path / "net.json", tmp_path / "prop.json", tmp_path / "run.json"
+    save_network(net, net_path)
+    save_query(Query(net, InputBox([-1.0], [1.0]), OutputProperty(0.0)), prop_path)
+    for mode in MODES:
+        assert main(["verify", "--net", str(net_path), "--prop", str(prop_path), "--mode", mode, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"]["status"] == "SAT" and doc["verdict"]["sampled"] is True
+        assert doc["stats"]["sampled_counterexamples"] == 1
 
 
 @pytest.mark.parametrize("modes", ["direct,cegr", ",", "cegar,cegar"])

@@ -159,6 +159,30 @@ def test_timeout_reports_cumulative_nodes(query121, monkeypatch):
     assert v.nodes == stats.solver_nodes
 
 
+def test_sampled_counterexamples_are_counted(monkeypatch):
+    # The first abstract solve branches at its root, where the falsifier
+    # finds a spurious counterexample; one split then proves UNSAT.  With
+    # the falsifier off, the search finds the counterexample instead.
+    net = Network(
+        [
+            Layer([[-0.9, 0.9], [-0.4, -0.7]], [0.3, -0.2], True),
+            Layer([[0.4, 0.1], [-0.6, 0.7]], [-0.2, -0.1], True),
+            Layer([[0.6, 0.8]], [0.0], False),
+        ],
+        2,
+    )
+    q = Query(net, InputBox([-1.0, -1.0], [1.0, 1.0]), OutputProperty(0.6))
+    assert oracle_verdict(q) == "UNSAT"
+    for sampled in (1, 0):
+        for mode in ("cegar", "cegarette"):
+            v, stats = verify(q, mode)
+            assert v.status is Status.UNSAT and not v.sampled
+            assert stats.refinement_steps == 1
+            assert stats.sampled_counterexamples == sampled
+            assert stats.to_dict()["sampled_counterexamples"] == sampled
+        monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
+
+
 def test_unknown_mode_rejected(query121):
     with pytest.raises(ValueError):
         verify(query121, "fastest")

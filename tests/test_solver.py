@@ -140,13 +140,51 @@ def test_split_network_search_stays_close_to_original(tmp_path):
 
 
 def test_deterministic_verdicts_and_witnesses():
+    # Witnesses found by the root falsifier are deterministic too: its
+    # samples come from a fixed seed.
     rng = np.random.default_rng(73)
+    sampled = 0
     for _ in range(20):
         q = random_query(rng)
         v1, v2 = solve(q), solve(q)
-        assert v1.status is v2.status
+        assert v1.status is v2.status and v1.sampled == v2.sampled
         if v1.witness is not None:
             assert np.array_equal(v1.witness, v2.witness)
+        sampled += v1.sampled
+    assert sampled > 0
+
+
+def test_falsifier_follows_the_granularity_band(net121):
+    # The maximum on [20, 21] is 714, at x = 21.  Like the search, the
+    # falsifier only accepts a point that reaches c + EPSILON, so inside the
+    # band (c, c + EPSILON) it finds nothing and direct answers UNSAT.
+    box = InputBox([20.0], [21.0])
+    c = 714.0 - 5e-7
+    assert solver._falsify(net121, box, c) is None
+    assert solve(Query(net121, box, OutputProperty(c))).status is Status.UNSAT
+    c = 714.0 - 2e-6
+    x = solver._falsify(net121, box, c)
+    assert x is not None and box.contains(x, slack=0.0)
+    assert evaluate(net121, x)[0] >= c + EPSILON
+
+
+def test_falsifier_off_gives_the_same_verdicts(tmp_path, monkeypatch):
+    # On the oracle-small queries and their split networks, the root
+    # falsifier changes how SAT is found, never the verdict, and every
+    # sampled witness is a box point that reaches c + EPSILON.
+    queries = oracle_queries_and_split_twins(tmp_path)
+    runs = [solve(q, timeout=60.0) for q in queries]
+    monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
+    sampled = 0
+    for q, v in zip(queries, runs):
+        w = solve(q, timeout=60.0)
+        assert v.status is w.status and v.status is not Status.TIMEOUT
+        assert not w.sampled
+        if v.sampled:
+            sampled += 1
+            assert v.status is Status.SAT and q.input.contains(v.witness, slack=0.0)
+            assert evaluate(q.network, v.witness)[0] >= q.output.threshold + EPSILON
+    assert sampled > 10
 
 
 def _loop_leaf_rows(net, modes, phases, target):
@@ -199,9 +237,11 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
     # Every leaf solve reaches on the oracle-small queries and their split
     # networks: the LP with rows for the branch-fixed neurons only is
     # feasible exactly when the LP with a row for every neuron is, and each
-    # point it returns satisfies every row.
+    # point it returns satisfies every row.  The root falsifier is off, so
+    # that the search itself reaches the feasible leaves of the SAT queries.
     leaves = []
     real = solver._solve_leaf
+    monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
 
     def recording(net, box, modes, phases, threshold):
         leaves.append((net, box, modes, phases, threshold))
