@@ -6,8 +6,6 @@ from .abstraction import (
     AbstractionState,
     CannotRefineError,
     abstract_to_saturation,
-    identity_state,
-    merge_pair,
     refine_split,
 )
 from .bounds import (
@@ -70,10 +68,8 @@ __all__ = [
     "exhaustive_verdict",
     "generate_benchmarks",
     "ibp",
-    "identity_state",
     "load_network",
     "load_query",
-    "merge_pair",
     "output_gap",
     "preprocess",
     "reduce_to_single_output",

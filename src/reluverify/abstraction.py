@@ -11,10 +11,10 @@ those groups by a fixed aggregation rule, applied per weight matrix:
 Collapsing target rows before summing source columns matters: it makes the
 derived weights monotone under partition refinement (splitting any group
 weakly lowers the network's output everywhere), not just sound against the
-base.  Every state's network is a function of its groups alone, so merging
-and splitting are order-independent and a fully-refined state reproduces
+base.  Every state's network is a function of its groups alone, so the
+order of the splits does not matter and a fully-refined state reproduces
 the categorized network bit-exactly.  ``_aggregate`` derives it from
-scratch (for saturation and merges, and as the reference in the tests);
+scratch (for saturation, and as the reference in the tests);
 ``refine_split`` re-derives only what a split touches, the split layer's
 two new rows and the next layer's two new columns, with the same
 expressions, and shares every other row, column and layer with its parent.
@@ -30,7 +30,8 @@ member of every layer in one array and takes one ``argmax``.
 The aggregation over-approximates the base output for all inputs drawn from
 the relevant box.  Merging neurons of the first hidden layer additionally
 requires the box to be non-negative (their sources are raw inputs rather
-than post-ReLU values), which callers assert via ``nonneg_inputs``.
+than post-ReLU values), which callers assert via ``abstract_to_saturation``'s
+``nonneg_inputs``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .categorize import CATEGORY_NAMES, CategorizedNetwork
+from .categorize import CategorizedNetwork
 from .network import Layer, Network, hidden_values
 
 Groups = tuple[tuple[tuple[int, ...], ...], ...]
@@ -112,7 +113,6 @@ class AbstractionState:
 
     base: CategorizedNetwork
     groups: Groups
-    nonneg_inputs: bool
     network: Network
 
     @property
@@ -127,60 +127,10 @@ class AbstractionState:
     def hidden_sizes(self) -> list[int]:
         return [len(layer) for layer in self.groups]
 
-    def group_category(self, layer: int, gi: int) -> int:
-        """The category code shared by the members of group ``gi``."""
-        return int(self.base.categories[layer][self.groups[layer][gi][0]])
 
-    def provenance(self) -> dict:
-        """JSON-friendly debug dump: which base neurons each abstract neuron
-        represents, with their shared category."""
-        return {
-            "hidden_layers": [
-                [
-                    {
-                        "members": list(g),
-                        "category": CATEGORY_NAMES[self.group_category(k, gi)],
-                        "origins": self.base.origins[k][list(g)].tolist(),
-                    }
-                    for gi, g in enumerate(layer_groups)
-                ]
-                for k, layer_groups in enumerate(self.groups)
-            ],
-            "nonneg_inputs": self.nonneg_inputs,
-        }
-
-
-def _make_state(base: CategorizedNetwork, groups, nonneg_inputs: bool) -> AbstractionState:
+def _make_state(base: CategorizedNetwork, groups) -> AbstractionState:
     groups = tuple(_canonical(layer) for layer in groups)
-    return AbstractionState(base, groups, bool(nonneg_inputs), _aggregate(base, groups))
-
-
-def identity_state(base: CategorizedNetwork, nonneg_inputs: bool = False) -> AbstractionState:
-    """One singleton group per categorized neuron (no abstraction)."""
-    groups = [
-        [(j,) for j in range(len(cats))] for cats in base.categories
-    ]
-    return _make_state(base, groups, nonneg_inputs)
-
-
-def merge_pair(state: AbstractionState, a: tuple[int, int], b: tuple[int, int]) -> AbstractionState:
-    """Union the groups of abstract neurons ``a`` and ``b`` (layer, index pairs)."""
-    (la, ga), (lb, gb) = a, b
-    if la != lb:
-        raise ValueError(f"cannot merge across layers ({la} vs {lb})")
-    if ga == gb:
-        raise ValueError("cannot merge a group with itself")
-    ca, cb = state.group_category(la, ga), state.group_category(lb, gb)
-    if ca != cb:
-        raise ValueError(f"category mismatch: {CATEGORY_NAMES[ca]} vs {CATEGORY_NAMES[cb]}")
-    if la == 0 and not state.nonneg_inputs:
-        raise ValueError("first hidden layer merges require a non-negative input box")
-    layer = list(state.groups[la])
-    merged = tuple(sorted(layer[ga] + layer[gb]))
-    layer = [g for i, g in enumerate(layer) if i not in (ga, gb)] + [merged]
-    groups = list(state.groups)
-    groups[la] = layer
-    return _make_state(state.base, groups, state.nonneg_inputs)
+    return AbstractionState(base, groups, _aggregate(base, groups))
 
 
 def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False) -> AbstractionState:
@@ -195,7 +145,7 @@ def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False
             groups.append([(j,) for j in range(len(codes))])
         else:
             groups.append([tuple(np.flatnonzero(codes == c).tolist()) for c in np.unique(codes)])
-    return _make_state(base, groups, nonneg_inputs)
+    return _make_state(base, groups)
 
 
 def _split_choice(state: AbstractionState, x0: np.ndarray) -> tuple[int, int]:
@@ -268,4 +218,4 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
     W = np.concatenate([layers[L + 1].weights, W], axis=1)
     layers[L + 1] = Layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
     network = Network(layers, state.network.input_size, domain=state.network.domain)
-    return AbstractionState(base, tuple(groups), state.nonneg_inputs, network)
+    return AbstractionState(base, tuple(groups), network)

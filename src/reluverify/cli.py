@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def positive_int(text: str) -> int:
+    """An integer option that counts something, so 1 or more."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reluverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,12 +53,12 @@ def _build_parser() -> _Parser:
     pb.add_argument("--suite", required=True, help="directory with manifest.json")
     pb.add_argument("--modes", default="cegar,cegarette", help="comma separated")
     pb.add_argument("--timeout", type=float, default=60.0)
-    pb.add_argument("--jobs", type=int, default=1)
+    pb.add_argument("--jobs", type=positive_int, default=1)
     pb.add_argument("--out", required=True, help="CSV output path")
 
     pg = sub.add_parser("gen", help="generate a benchmark suite")
     pg.add_argument("--seed", type=int, required=True)
-    pg.add_argument("--count", type=int, required=True)
+    pg.add_argument("--count", type=positive_int, required=True)
     pg.add_argument("--out", required=True, help="suite directory")
     pg.add_argument("--kind", default="oracle", choices=["oracle", "robust"])
     return parser

@@ -1,13 +1,15 @@
-"""Verification loops: direct solving, abstraction refinement with a fixed
-property, and abstraction refinement with property tightening.
+"""The verification loop, one for every mode: solve a query, check its
+counterexample against the original query, and refine if it is spurious.
 
-All three agree on verdicts outside the granularity band
+The modes differ only in where the loop starts and in the property it
+solves.  ``direct`` starts from the original network, which never needs
+refining.  ``cegar`` and ``cegarette`` start from the saturated abstraction
+of the preprocessed network and split merged neurons guided by spurious
+counterexamples; ``cegarette`` also raises the abstract query's threshold
+by the certified output gap, recomputed from scratch after every
+refinement.  All three agree on verdicts outside the granularity band
 ``(c, c + EPSILON)`` (see ``solver``); they differ in how much work the
-backend solver sees.  The refinement loops saturate-abstract the network
-first, check solver counterexamples against the original query, and split
-merged neurons guided by spurious ones.  The tightening loop additionally
-raises the abstract query's threshold by the certified output gap,
-recomputed from scratch after every refinement.
+backend solver sees.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .abstraction import AbstractionState, abstract_to_saturation, refine_split
+from .abstraction import abstract_to_saturation, refine_split
 from .bounds import tighten_property
 from .categorize import preprocess
 from .network import Query
@@ -50,40 +52,43 @@ def is_genuine(q: Query, x0) -> bool:
     return is_witness(q.network, x0, q.output.threshold)
 
 
-def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdict, RunStats]:
+def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, RunStats]:
+    """Decide ``q`` in one of ``MODES``.  The verdict's ``nodes`` and ``time``
+    are the run's ``solver_nodes`` and ``total_time``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     stats = RunStats(mode=mode)
     start = time.monotonic()
-
-    def remaining():
-        return None if timeout is None else timeout - (time.monotonic() - start)
 
     def finish(status: Status, witness=None, sampled: bool = False) -> tuple[Verdict, RunStats]:
         stats.total_time = time.monotonic() - start
         return Verdict(status, witness, stats.solver_nodes, stats.total_time, sampled), stats
 
-    base = preprocess(q.network)
-    nonneg = bool(np.all(q.input.lower >= 0.0))
-    state: AbstractionState = abstract_to_saturation(base, nonneg_inputs=nonneg)
-    stats.initial_excess = state.excess
+    if mode == "direct":
+        network, stats.initial_excess = q.network, 0
+    else:
+        nonneg = bool(np.all(q.input.lower >= 0.0))
+        state = abstract_to_saturation(preprocess(q.network), nonneg_inputs=nonneg)
+        network, stats.initial_excess = state.network, state.excess
     iteration_bound = 1 + stats.initial_excess
 
     while True:
         if mode == "cegarette":
-            prop = tighten_property(state.network, q.network, q.input, q.output)
+            prop = tighten_property(network, q.network, q.input, q.output)
         else:
             prop = q.output
         stats.iterations += 1
-        stats.abstract_hidden_sizes.append(state.hidden_sizes)
+        stats.abstract_hidden_sizes.append(network.hidden_sizes)
         stats.thresholds.append(prop.threshold)
         if stats.iterations > iteration_bound:
             raise RuntimeError(
                 f"{mode}: exceeded the convergence bound of {iteration_bound} iterations"
             )
 
-        budget = remaining()
+        budget = None if timeout is None else timeout - (time.monotonic() - start)
         if budget is not None and budget <= 0:
             return finish(Status.TIMEOUT)
-        v = solve(Query(state.network, q.input, prop), timeout=budget)
+        v = solve(Query(network, q.input, prop), timeout=budget)
         stats.solver_times.append(v.time)
         stats.solver_nodes += v.nodes
         stats.sampled_counterexamples += v.sampled
@@ -91,27 +96,11 @@ def _refinement_loop(q: Query, mode: str, timeout: float | None) -> tuple[Verdic
         if v.status is not Status.SAT:
             return finish(v.status)
         x0 = v.witness
+        # In ``direct`` the solver already accepted x0 by ``is_witness`` on
+        # this network and threshold, which is this check, so ``direct``
+        # never gets past it to refine.
         if is_genuine(q, x0):
             return finish(Status.SAT, x0, v.sampled)
         state = refine_split(state, x0)
+        network = state.network
         stats.refinement_steps += 1
-
-
-def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, RunStats]:
-    """Decide ``q`` in one of ``MODES``: ``direct`` hands the original query
-    straight to the solver, ``cegar`` and ``cegarette`` run the refinement loop."""
-    if mode in ("cegar", "cegarette"):
-        return _refinement_loop(q, mode, timeout)
-    if mode != "direct":
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    stats = RunStats(mode="direct", initial_excess=0)
-    start = time.monotonic()
-    v = solve(q, timeout=timeout)
-    stats.iterations = 1
-    stats.abstract_hidden_sizes.append(q.network.hidden_sizes)
-    stats.thresholds.append(q.output.threshold)
-    stats.solver_times.append(v.time)
-    stats.solver_nodes = v.nodes
-    stats.sampled_counterexamples = int(v.sampled)
-    stats.total_time = time.monotonic() - start
-    return v, stats

@@ -3,28 +3,20 @@ import pytest
 
 from reluverify import (
     CannotRefineError,
+    InputBox,
     Layer,
     Network,
     abstract_to_saturation,
-    identity_state,
-    merge_pair,
+    evaluate,
     preprocess,
     refine_split,
 )
 
-from reluverify.abstraction import _aggregate, _collapse, _split_choice, _sum_columns
+from reluverify.abstraction import _aggregate, _collapse, _make_state, _split_choice, _sum_columns
 from reluverify.categorize import CATEGORY_NAMES
 from reluverify.network import hidden_values
 
 from conftest import forward_batch, random_box, random_network, sample_box
-
-
-def test_merge_pair_running_example(net121):
-    state = identity_state(preprocess(net121), nonneg_inputs=True)
-    merged = merge_pair(state, (0, 0), (0, 1))
-    assert np.array_equal(merged.network.layers[0].weights, [[10.0]])
-    assert np.array_equal(merged.network.layers[1].weights, [[7.0]])
-    assert merged.groups == (((0, 1),),)
 
 
 def test_merge_self_duplicate():
@@ -33,34 +25,11 @@ def test_merge_self_duplicate():
         [Layer([[5.0], [5.0]], [0.25, 0.25], True), Layer([[2.0, 2.0]], [0.0], False)],
         input_size=1,
     )
-    state = identity_state(preprocess(net), nonneg_inputs=True)
-    merged = merge_pair(state, (0, 0), (0, 1))
+    merged = abstract_to_saturation(preprocess(net), nonneg_inputs=True)
+    assert merged.groups == (((0, 1),),)
     assert np.array_equal(merged.network.layers[0].weights, [[5.0]])
     assert np.array_equal(merged.network.layers[0].biases, [0.25])
     assert np.array_equal(merged.network.layers[1].weights, [[4.0]])
-
-
-def test_merge_preconditions(net121):
-    base = preprocess(net121)
-    state = identity_state(base, nonneg_inputs=True)
-    with pytest.raises(ValueError, match="itself"):
-        merge_pair(state, (0, 0), (0, 0))
-    deep = Network(
-        [
-            Layer([[1.0], [2.0]], [0.0, 0.0], True),
-            Layer([[1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0], True),
-            Layer([[1.0, -1.0]], [0.0], False),
-        ],
-        input_size=1,
-    )
-    dstate = identity_state(preprocess(deep), nonneg_inputs=True)
-    with pytest.raises(ValueError, match="layers"):
-        merge_pair(dstate, (0, 0), (1, 0))
-    with pytest.raises(ValueError, match="category"):
-        merge_pair(dstate, (1, 0), (1, 1))
-    guarded = identity_state(base, nonneg_inputs=False)
-    with pytest.raises(ValueError, match="non-negative"):
-        merge_pair(guarded, (0, 0), (0, 1))
 
 
 def test_saturation_running_example(net121):
@@ -98,30 +67,54 @@ def _check_dominates(rng, small: Network, big: Network, box, n=100, slack=1e-9):
     assert np.all(hi >= lo - slack)
 
 
+def test_first_layer_merges_need_a_nonneg_box():
+    # Both layers hold two pos-inc neurons.  Merged, the first layer's two
+    # rows collapse to relu(x), which is 0 at x = -1 where the base's
+    # relu(-x) is 1, so only a non-negative box allows that merge.
+    net = Network(
+        [
+            Layer([[1.0], [-1.0]], [0.0, 0.0], True),
+            Layer([[1.0, 1.0], [0.5, 2.0]], [0.0, 0.0], True),
+            Layer([[1.0, 1.0]], [0.0], False),
+        ],
+        input_size=1,
+    )
+    base = preprocess(net)
+    guarded = abstract_to_saturation(base, nonneg_inputs=False)
+    assert guarded.groups == (((0,), (1,)), ((0, 1),))
+    merged = abstract_to_saturation(base, nonneg_inputs=True)
+    assert merged.groups == (((0, 1),), ((0, 1),))
+    box = InputBox([-1.0], [1.0])
+    _check_dominates(np.random.default_rng(38), base.network, guarded.network, box)
+    assert evaluate(merged.network, [-1.0])[0] < evaluate(base.network, [-1.0])[0]
+
+
 def test_random_merges_over_approximate():
+    # Random same-category partitions of every layer, which the refinement
+    # loop never builds all of; the first layer stays in singletons unless
+    # the box is non-negative.
     rng = np.random.default_rng(32)
+    merged = 0
     for _ in range(200):
         nonneg = bool(rng.random() < 0.5)
         net = random_network(rng)
         base = preprocess(net)
         box = random_box(rng, net.input_size, nonneg=nonneg)
-        state = identity_state(base, nonneg_inputs=nonneg)
-        # apply a few random legal merges
-        for _ in range(4):
-            options = []
-            for layer, groups in enumerate(state.groups):
-                if layer == 0 and not nonneg:
-                    continue
-                for i in range(len(groups)):
-                    for j in range(i + 1, len(groups)):
-                        if state.group_category(layer, i) == state.group_category(layer, j):
-                            options.append(((layer, i), (layer, j)))
-            if not options:
-                break
-            a, b = options[rng.integers(len(options))]
-            state = merge_pair(state, a, b)
+        groups = []
+        for k, codes in enumerate(base.categories):
+            if k == 0 and not nonneg:
+                groups.append([(j,) for j in range(len(codes))])
+                continue
+            layer = []
+            for c in np.unique(codes):
+                members = np.flatnonzero(codes == c)
+                layer += [tuple(members[list(g)].tolist()) for g in _random_partition(rng, members.size)]
+            groups.append(layer)
+        state = _make_state(base, groups)
+        merged += state.excess > 0
         _check_dominates(rng, base.network, state.network, box)
         _check_dominates(rng, net, state.network, box)
+    assert merged > 100
 
 
 def test_refine_running_example(net121):
@@ -200,19 +193,11 @@ def test_refine_monotone_between_base_and_previous():
 
 
 def test_refine_fully_refined_raises(net121):
-    state = identity_state(preprocess(net121), nonneg_inputs=True)
+    state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
+    while state.excess > 0:
+        state = refine_split(state, [20.0])
     with pytest.raises(CannotRefineError):
         refine_split(state, [20.0])
-
-
-def test_provenance_dump_is_json_serializable(net121):
-    import json
-
-    state = abstract_to_saturation(preprocess(net121), nonneg_inputs=True)
-    doc = json.loads(json.dumps(state.provenance()))
-    assert doc["hidden_layers"][0][0]["members"] == [0, 1]
-    assert doc["hidden_layers"][0][0]["category"] == "pos-inc"
-    assert doc["nonneg_inputs"] is True
 
 
 def test_refine_targets_most_distorted_neuron(net121):

@@ -156,6 +156,23 @@ def test_bench_rejects_bad_modes(tmp_path, capsys, modes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen", "--seed", "1", "--count", "-3", "--out", "{dir}/gen"], "--count"),
+        (["bench", "--suite", "{dir}/suite", "--modes", "direct", "--jobs", "-2", "--out", "{dir}/bench.csv"], "--jobs"),
+    ],
+    ids=["count", "jobs"],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv, option):
+    generate_benchmarks(2, 1, tmp_path / "suite")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(dir=tmp_path) for a in argv])
+    assert exc.value.code == 1
+    assert f"argument {option}: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "bench.csv").exists()
+
+
 def test_gen_and_bench_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     assert main(["gen", "--seed", "2", "--count", "5", "--out", str(suite)]) == 0
@@ -213,5 +230,8 @@ def test_option_surface():
     assert _signature(output_bounds) == _required("net", "box")
     assert _signature(output_gap) == _required("abstract", "original", "box")
     assert _signature(tighten_property) == _required("abstract", "original", "box", "prop")
-    for gone in ("BoundMethod", "SymbolicBoundsMap", "Category", "Sign", "Direction"):
+    for gone in (
+        "BoundMethod", "SymbolicBoundsMap", "Category", "Sign", "Direction",
+        "merge_pair", "identity_state",
+    ):
         assert not hasattr(reluverify, gone) and gone not in reluverify.__all__

@@ -125,18 +125,21 @@ def test_timeout_propagates_with_partial_stats(query121):
 
 
 def test_verdict_time_covers_the_whole_run(query121):
-    # The verdict's time is the run's wall time: it covers every solve of a
-    # multi-iteration run, and a run whose budget is spent before its first
-    # solve still reports the time it took to get there.
-    for timeout in (None, 0.0):
-        v, stats = verify(query121, "cegar", timeout=timeout)
-        if timeout is None:
-            assert stats.iterations >= 2
-        else:
-            assert v.status is Status.TIMEOUT
-        assert v.time == stats.total_time
-        assert v.time >= sum(stats.solver_times)
-        assert v.time > 0
+    # In every mode the verdict is one record of the whole run: its time is
+    # the run's wall time, which covers every solve of a multi-iteration
+    # run, and a run whose budget is spent before its first solve still
+    # reports the time it took to get there; its nodes are the run's nodes.
+    for mode in MODES:
+        for timeout in (None, 0.0):
+            v, stats = verify(query121, mode, timeout=timeout)
+            if timeout is None:
+                assert stats.iterations >= (2 if mode == "cegar" else 1)
+            else:
+                assert v.status is Status.TIMEOUT
+            assert v.time == stats.total_time, mode
+            assert v.nodes == stats.solver_nodes, mode
+            assert v.time >= sum(stats.solver_times)
+            assert v.time > 0
 
 
 def test_timeout_reports_cumulative_nodes(query121, monkeypatch):

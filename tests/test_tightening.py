@@ -5,7 +5,6 @@ from reluverify import (
     InputBox,
     OutputProperty,
     abstract_to_saturation,
-    identity_state,
     preprocess,
     refine_split,
     tighten_property,
@@ -62,11 +61,9 @@ def test_fully_refined_fixpoint():
     rng = np.random.default_rng(53)
     for _ in range(30):
         net = random_network(rng)
-        base = preprocess(net)
-        state = identity_state(base, nonneg_inputs=True)
         box = random_box(rng, net.input_size, nonneg=True)
         c = float(rng.normal())
-        prop = tighten_property(state.network, net, box, OutputProperty(c))
+        prop = tighten_property(preprocess(net).network, net, box, OutputProperty(c))
         assert prop == OutputProperty(c)
 
 
