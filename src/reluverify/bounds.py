@@ -27,6 +27,20 @@ reuses layers 0..k-1 and layer k's pre-activations, and reruns the same
 steps from layer k's ReLU step on, which gives the same arrays as a run
 from the input.
 
+A root call, one with neither phases nor ``resume``, is a pure function of
+a ``Network`` and an ``InputBox``, both frozen with read-only arrays.
+``sbt`` keeps its result in ``_ROOTS``, keyed weakly by the network
+together with the box, and answers a root call on the same network and
+the same box object (``is``) from there.  Identity keys are sound because
+neither object can change, and they cost no array comparison.  An entry
+holds the network's latest box only, and it dies with its network.
+``loop.verify`` bounds with a box of its own per call, so a kept result
+serves only the call that made it: ``cegarette`` bounds the unchanged
+original once per call, and ``solve``'s root reuses the abstract bound
+that ``output_gap`` has just computed, while a repeated call on the same
+``Query`` bounds afresh.  Sharing is safe because no code changes an
+``sbt`` result in place.
+
 If original(x) + d <= abstract(x) on the box, then checking the abstract
 network against ``y > c + d`` over-approximates checking the original
 against ``y > c``: an UNSAT answer for the tightened query carries over.
@@ -35,6 +49,7 @@ against ``y > c``: an UNSAT answer for the tightened query carries over.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +101,9 @@ def ibp(net: Network, box: InputBox) -> BoundsMap:
             lo, hi = plo, phi
         post.append((lo, hi))
     return BoundsMap(tuple(pre), tuple(post))
+
+
+_ROOTS = weakref.WeakKeyDictionary()  # network -> (box, its root ``sbt`` result)
 
 
 def _concrete_lo(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarray:
@@ -152,9 +170,17 @@ def sbt(
     layers 0..k-1 and layer k's pre-activations are taken from it, and the
     rest is computed as a call without ``resume`` would, so the result is
     the same.
+
+    A root call (no ``phases``, no ``resume``) may be answered from
+    ``_ROOTS``; the module docstring says when.
     """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
+    root = phases is None and resume is None
+    if root:
+        kept = _ROOTS.get(net)
+        if kept is not None and kept[0] is box:
+            return kept[1]
     if resume is None:
         k, modes, pre_expr, pre_iv, post_iv = 0, [], [], [], []
         eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
@@ -176,7 +202,10 @@ def sbt(
         else:
             post, iv = pre_expr[j], pre_iv[j]
         post_iv.append(iv)
-    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv), tuple(pre_expr))
+    result = tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv), tuple(pre_expr))
+    if root:
+        _ROOTS[net] = (box, result)
+    return result
 
 
 def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:

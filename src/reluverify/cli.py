@@ -38,6 +38,14 @@ def positive_int(text: str) -> int:
     return n
 
 
+def time_limit(text: str) -> float:
+    """A timeout in seconds: 0 or more, and not NaN, which would mean no limit."""
+    t = float(text)
+    if not t >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more seconds, got {text}")
+    return t
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reluverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,13 +54,13 @@ def _build_parser() -> _Parser:
     pv.add_argument("--net", required=True, help="network file (.json or .nnet)")
     pv.add_argument("--prop", required=True, help="query file (JSON box + threshold)")
     pv.add_argument("--mode", default="cegarette", choices=MODES)
-    pv.add_argument("--timeout", type=float, default=None, help="seconds")
+    pv.add_argument("--timeout", type=time_limit, default=None, help="seconds")
     pv.add_argument("--out", default=None, help="write verdict + stats as JSON")
 
     pb = sub.add_parser("bench", help="run a suite over several modes")
     pb.add_argument("--suite", required=True, help="directory with manifest.json")
     pb.add_argument("--modes", default="cegar,cegarette", help="comma separated")
-    pb.add_argument("--timeout", type=float, default=60.0)
+    pb.add_argument("--timeout", type=time_limit, default=60.0)
     pb.add_argument("--jobs", type=positive_int, default=1)
     pb.add_argument("--out", required=True, help="CSV output path")
 

@@ -6,14 +6,20 @@ solves.  ``direct`` starts from the original network, which never needs
 refining.  ``cegar`` and ``cegarette`` start from the saturated abstraction
 of the preprocessed network and split merged neurons guided by spurious
 counterexamples; ``cegarette`` also raises the abstract query's threshold
-by the certified output gap, recomputed from scratch after every
-refinement.  All three agree on verdicts outside the granularity band
-``(c, c + EPSILON)`` (see ``solver``); they differ in how much work the
-backend solver sees.
+by the certified output gap of each new abstract network.  All
+three agree on verdicts outside the granularity band ``(c, c + EPSILON)``
+(see ``solver``); they differ in how much work the backend solver sees.
+
+Each network is bounded once per call: ``bounds.sbt`` keeps its root
+results for the box ``verify`` builds, so ``cegarette`` bounds the
+original once, and ``solve``'s root reuses the abstract network's bound
+from the gap.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -57,6 +63,12 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
     are the run's ``solver_nodes`` and ``total_time``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout is NaN")
+    # A box object of this call's own, over the same read-only arrays, keys
+    # ``bounds.sbt``'s kept root results to this call: a repeated call on
+    # the same ``Query`` bounds afresh.
+    box = copy.copy(q.input)
     stats = RunStats(mode=mode)
     start = time.monotonic()
 
@@ -74,7 +86,7 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
 
     while True:
         if mode == "cegarette":
-            prop = tighten_property(network, q.network, q.input, q.output)
+            prop = tighten_property(network, q.network, box, q.output)
         else:
             prop = q.output
         stats.iterations += 1
@@ -88,7 +100,7 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
         budget = None if timeout is None else timeout - (time.monotonic() - start)
         if budget is not None and budget <= 0:
             return finish(Status.TIMEOUT)
-        v = solve(Query(network, q.input, prop), timeout=budget)
+        v = solve(Query(network, box, prop), timeout=budget)
         stats.solver_times.append(v.time)
         stats.solver_nodes += v.nodes
         stats.sampled_counterexamples += v.sampled

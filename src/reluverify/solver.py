@@ -25,6 +25,11 @@ have the same pre-activation at every input, so a mixed-phase region is
 empty except where that pre-activation is 0, and there both phases give 0.
 Networks without twins branch on one neuron at a time.
 
+The root is bounded by a root ``sbt`` call, without phases: its phases
+are all unknown, which gives the same arrays, and the call can reuse the
+result ``bounds`` keeps for the query's network and box, such as the
+abstract bound of ``cegarette``'s gap.
+
 A child changes only the phases of its branch layer k, so its node bounds
 resume from the parent's ``sbt`` result, kept with the child on the DFS
 stack: only layer k's ReLU step and the layers after it are recomputed,
@@ -277,7 +282,7 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
             return verdict(Status.TIMEOUT)
         phases, resume = stack.pop()
         nodes += 1
-        relu_modes, bm = sbt(net, box, phases, resume)
+        relu_modes, bm = sbt(net, box) if resume is None else sbt(net, box, phases, resume)
 
         first = 0 if resume is None else resume[0] + 1
         conflict = any(

@@ -17,6 +17,7 @@ from reluverify import (
     Network,
     OutputProperty,
     Query,
+    bounds,
     generate_benchmarks,
     load_network,
     load_query,
@@ -62,6 +63,21 @@ def abstraction_states(monkeypatch) -> list:
     monkeypatch.setattr(loop, "abstract_to_saturation", recording(loop.abstract_to_saturation))
     monkeypatch.setattr(loop, "refine_split", recording(loop.refine_split))
     return trace
+
+
+@pytest.fixture
+def affine_steps(monkeypatch) -> list:
+    """The layer of every SBT affine step, in order: one per layer that a
+    bound computation visits (a resumed node starts past its branch layer)."""
+    steps = []
+    real_step = bounds._pre_step
+
+    def counting_step(layer, post, box):
+        steps.append(layer)
+        return real_step(layer, post, box)
+
+    monkeypatch.setattr(bounds, "_pre_step", counting_step)
+    return steps
 
 
 def random_network(rng, n_inputs=None, n_layers=None, max_width=6, n_outputs=1) -> Network:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -264,3 +267,35 @@ def test_layer_weight_parts_are_cached_and_read_only():
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0, 0] = 1.0
+
+
+def test_root_sbt_is_kept_for_the_same_network_and_box(affine_steps):
+    # A root call (no phases, no resume) is a pure function of two immutable
+    # objects.  Repeating it on the same network and box objects returns the
+    # kept result, which equals a fresh run byte for byte, as does a run
+    # with all-zero phases.  An equal but distinct box, or another box, is
+    # bounded afresh.  Each layer takes one affine step per computation.
+    rng = np.random.default_rng(48)
+    for _ in range(20):
+        base = random_network(rng, n_layers=int(rng.integers(1, 4)))
+        box = random_box(rng, base.input_size)
+        for net in (base, preprocess(base).network):
+            n = len(net.layers)
+            affine_steps.clear()
+            kept = sbt(net, box)
+            assert len(affine_steps) == n
+            assert sbt(net, box) is kept and len(affine_steps) == n
+            expected = _sbt_bytes(kept[0], kept[1].pre, kept[1].post, kept[1].pre_expr)
+            zero = tuple(np.zeros(m, dtype=np.int8) for m in net.hidden_sizes)
+            for modes, bm in (sbt(net, box, zero), sbt(net, InputBox(box.lower, box.upper))):
+                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == expected
+            assert len(affine_steps) == 3 * n
+            sbt(net, random_box(rng, net.input_size))
+            assert len(affine_steps) == 4 * n
+    # The kept result does not keep its network alive.
+    net = random_network(rng)
+    sbt(net, random_box(rng, net.input_size))
+    alive = weakref.ref(net)
+    del net
+    gc.collect()
+    assert alive() is None

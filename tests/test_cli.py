@@ -173,6 +173,30 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv, option):
     assert not (tmp_path / "gen").exists() and not (tmp_path / "bench.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_invalid_timeouts_are_usage_errors(query_files, tmp_path, capsys, command, value):
+    # NaN used to run with no limit and exit 0; a negative limit used to
+    # run and be reported as a timeout.
+    net, prop = query_files
+    if command == "verify":
+        argv = ["verify", "--net", net, "--prop", prop]
+    else:
+        generate_benchmarks(2, 1, tmp_path / "suite")
+        argv = ["bench", "--suite", str(tmp_path / "suite"), "--out", str(tmp_path / "bench.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--timeout", value])
+    assert exc.value.code == 1
+    assert "argument --timeout: must be 0 or more seconds" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_verify_rejects_a_nan_timeout(query121):
+    for mode in MODES:
+        with pytest.raises(ValueError, match="NaN"):
+            verify(query121, mode, timeout=float("nan"))
+
+
 def test_gen_and_bench_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     assert main(["gen", "--seed", "2", "--count", "5", "--out", str(suite)]) == 0

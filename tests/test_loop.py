@@ -19,6 +19,7 @@ from conftest import (
     forward_batch,
     oracle_verdict,
     random_oracle_network,
+    random_network,
     random_query,
     sample_box,
 )
@@ -184,6 +185,48 @@ def test_sampled_counterexamples_are_counted(monkeypatch):
             assert stats.sampled_counterexamples == sampled
             assert stats.to_dict()["sampled_counterexamples"] == sampled
         monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
+
+
+def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
+    # The original network never changes during a run, so its root bound is
+    # computed once per call, not once per iteration; a second call on the
+    # same Query computes it again.  Each abstract network's root bound is
+    # computed once, for the gap, and reused at the solver's root.  A root
+    # computation is the one affine step on a network's first layer: a
+    # child node resumes past it.
+    rng = np.random.default_rng(9)
+    q = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
+    solved = []
+    real_solve = loop.solve
+
+    def recording_solve(query, **kwargs):
+        solved.append(query.network)
+        return real_solve(query, **kwargs)
+
+    monkeypatch.setattr(loop, "solve", recording_solve)
+    for _ in range(2):
+        affine_steps.clear()
+        solved.clear()
+        v, stats = verify(q, "cegarette")
+        assert v.status is Status.UNSAT and stats.iterations == len(solved) == 13
+        assert sum(layer is q.network.layers[0] for layer in affine_steps) == 1
+        firsts = {id(net.layers[0]) for net in solved}
+        assert sum(id(layer) in firsts for layer in affine_steps) == stats.iterations
+
+
+def test_repeated_runs_do_equal_bound_work(affine_steps):
+    # Kept root bounds are scoped to one call: a second pass over the same
+    # Query objects bounds as much as the first.
+    rng = np.random.default_rng(50)
+    queries = [random_query(rng) for _ in range(10)]
+    for mode in MODES:
+        work = []
+        for _ in range(2):
+            affine_steps.clear()
+            for q in queries:
+                verify(q, mode)
+            work.append(len(affine_steps))
+        assert work[0] == work[1] > 0, mode
 
 
 def test_unknown_mode_rejected(query121):
