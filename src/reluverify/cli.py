@@ -1,8 +1,8 @@
 """Command-line interface: verify a single query, generate benchmark
 suites, and run batch comparisons.
 
-Exit codes: 0 completed with a verdict, 1 usage or input-file error,
-2 internal error, 124 timeout (single-query mode).
+Exit codes: 0 completed with a verdict, 1 usage, input-file or output-path
+error, 2 internal error, 124 timeout (single-query mode).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import json
 import sys
 import traceback
 
-from .formats import FormatError, load_network, load_query
-from .harness import generate_benchmarks, run_bench
+from .formats import FormatError, load_network, load_query, write_json
+from .harness import LABEL_SOURCES, generate_benchmarks, run_bench
 from .loop import MODES, verify
 from .network import ValidationError
 
@@ -35,6 +35,14 @@ def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def seed(text: str) -> int:
+    """A seed for numpy's generator, so 0 or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
     return n
 
 
@@ -65,10 +73,10 @@ def _build_parser() -> _Parser:
     pb.add_argument("--out", required=True, help="CSV output path")
 
     pg = sub.add_parser("gen", help="generate a benchmark suite")
-    pg.add_argument("--seed", type=int, required=True)
+    pg.add_argument("--seed", type=seed, required=True)
     pg.add_argument("--count", type=positive_int, required=True)
     pg.add_argument("--out", required=True, help="suite directory")
-    pg.add_argument("--kind", default="oracle", choices=["oracle", "robust"])
+    pg.add_argument("--kind", default="oracle", choices=list(LABEL_SOURCES))
     return parser
 
 
@@ -77,9 +85,7 @@ def _cmd_verify(args) -> int:
     verdict, stats = verify(q, args.mode, timeout=args.timeout)
     doc = {"verdict": verdict.to_dict(), "stats": stats.to_dict()}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(doc, args.out, indent=1)
     print(f"verdict: {verdict.status.value}")
     if verdict.witness is not None:
         print(f"witness: {verdict.witness.tolist()}")
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
             code = _cmd_bench(args)
         else:
             code = _cmd_gen(args)
-    except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError) as e:
+    except (FormatError, ValidationError, OSError) as e:
         print(f"reluverify: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

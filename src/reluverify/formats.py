@@ -10,12 +10,31 @@ from __future__ import annotations
 
 import json
 
-
 from .network import InputBox, Layer, Network, OutputProperty, Query, ValidationError
 
 
 class FormatError(ValueError):
     """A file could not be parsed; the message carries line/field context."""
+
+
+def read_json(path) -> dict:
+    """Parse a JSON file whose top-level value must be an object.  This and
+    ``write_json`` are the package's one way to read and write JSON files."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top-level value must be an object")
+    return doc
+
+
+def write_json(doc, path, indent=None) -> None:
+    """Write ``doc`` and a final newline; ``indent=None`` writes one compact line."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 def _require(obj: dict, key: str, where: str):
@@ -71,23 +90,14 @@ def network_from_dict(doc: dict, where: str = "network") -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh)
-        fh.write("\n")
+    write_json(network_to_dict(net), path)
 
 
 def load_network(path) -> Network:
     """Load a network from a ``.nnet`` text file or a JSON file (by extension)."""
     if str(path).endswith(".nnet"):
         return load_nnet(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top-level value must be an object")
-    return network_from_dict(doc, where=str(path))
+    return network_from_dict(read_json(path), where=str(path))
 
 
 def _nnet_values(line: str) -> list[float]:
@@ -148,21 +158,12 @@ def query_to_dict(q: Query) -> dict:
 
 
 def save_query(q: Query, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(query_to_dict(q), fh)
-        fh.write("\n")
+    write_json(query_to_dict(q), path)
 
 
 def load_query(path, net: Network) -> Query:
     """Load box + threshold from JSON and bind them to ``net`` as a query."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top-level value must be an object")
-    where = str(path)
+    doc, where = read_json(path), str(path)
     lower, upper = _require(doc, "input_lower", where), _require(doc, "input_upper", where)
     threshold = _require(doc, "output_threshold", where)
     try:

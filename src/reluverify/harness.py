@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .bounds import output_bounds
-from .formats import load_network, load_query, save_network, save_query
+from .formats import (
+    FormatError, load_network, load_query, read_json, save_network, save_query, write_json
+)
 from .loop import MODES, verify
 from .network import (
     InputBox,
@@ -38,10 +40,8 @@ MIN_LAYERS, MAX_LAYERS = 2, 4
 MIN_WIDTH, MAX_WIDTH = 10, 30
 # Radius range searched by the certified-radius bisection.
 RADIUS_LO, RADIUS_HI = 1e-4, 0.5
-
-CSV_COLUMNS = [
-    "query_id", "mode", "verdict", "refinements", "iterations", "time_ms", "timeout", "error"
-]
+# Suite kind -> how its labels are known.
+LABEL_SOURCES = {"oracle": "exhaustive", "robust": "certified"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,25 +207,23 @@ def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") ->
     robustness queries whose UNSAT labels are certified by symbolic bounds.
     Exactly ``count`` queries are written.
     """
-    rng = np.random.default_rng(seed)
+    if kind not in LABEL_SOURCES:
+        raise ValueError(f"unknown benchmark kind {kind!r}")
     os.makedirs(out_dir, exist_ok=True)
+    rng = np.random.default_rng(seed)
     entries = []
-    pending: list[tuple[Query, str | None, str | None]] = []
+    pending: list[tuple[Query, str]] = []
     guard = 0
     while len(pending) < count:
         guard += 1
         if guard > 100 * count:
             raise RuntimeError("benchmark generation failed to converge")
         if kind == "oracle":
-            q, label = _gen_oracle_query(rng)
-            pending.append((q, label, "exhaustive"))
-        elif kind == "robust":
-            for q in _gen_robust_queries(rng):
-                pending.append((q, "UNSAT", "certified"))
+            pending.append(_gen_oracle_query(rng))
         else:
-            raise ValueError(f"unknown benchmark kind {kind!r}")
+            pending += [(q, "UNSAT") for q in _gen_robust_queries(rng)]
 
-    for i, (q, label, source) in enumerate(pending[:count]):
+    for i, (q, label) in enumerate(pending[:count]):
         qid = f"q{i:04d}"
         qdir = os.path.join(out_dir, qid)
         os.makedirs(qdir, exist_ok=True)
@@ -237,21 +235,30 @@ def generate_benchmarks(seed: int, count: int, out_dir, kind: str = "oracle") ->
                 "net": f"{qid}/net.json",
                 "query": f"{qid}/query.json",
                 "label": label,
-                "label_source": source,
+                "label_source": LABEL_SOURCES[kind],
                 "hidden_sizes": q.network.hidden_sizes,
             }
         )
     manifest = {"kind": kind, "seed": seed, "count": len(entries), "queries": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, "manifest.json"), indent=1)
     return manifest
 
 
 def load_manifest(suite_dir) -> dict:
+    """Read a suite's manifest: ``queries`` lists each query's distinct ``id``
+    and the suite-relative paths of its ``net`` and ``query`` files."""
     path = os.path.join(suite_dir, "manifest.json")
-    with open(path) as fh:
-        return json.load(fh)
+    manifest = read_json(path)
+    queries = manifest.get("queries")
+    if not isinstance(queries, list) or not all(
+        isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("id", "net", "query"))
+        for e in queries
+    ) or len({e["id"] for e in queries}) < len(queries):
+        raise FormatError(
+            f"{path}: 'queries' must be a list of objects with a distinct string 'id' "
+            "and string 'net' and 'query'"
+        )
+    return manifest
 
 
 @dataclass(frozen=True)
@@ -266,38 +273,25 @@ class BenchmarkRecord:
     error: str = ""  # "Type: message" of the exception behind an ERROR verdict
 
     def row(self) -> list:
-        return [
-            self.query_id,
-            self.mode,
-            self.verdict,
-            self.refinements,
-            self.iterations,
-            round(self.time_ms, 3),
-            int(self.timeout),
-            self.error,
-        ]
+        return list(astuple(replace(self, time_ms=round(self.time_ms, 3), timeout=int(self.timeout))))
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchmarkRecord)]
 
 
 def _bench_task(args) -> BenchmarkRecord:
     qid, net_path, query_path, mode, timeout = args
     t0 = time.monotonic()
     try:
-        q = load_query(query_path, load_network(net_path))
-        verdict, stats = verify(q, mode, timeout=timeout)
-        return BenchmarkRecord(
-            qid,
-            mode,
-            verdict.status.value,
-            stats.refinement_steps,
-            stats.iterations,
-            1000.0 * stats.total_time,
-            verdict.status.value == "TIMEOUT",
-        )
+        verdict, stats = verify(load_query(query_path, load_network(net_path)), mode, timeout=timeout)
     except Exception as e:
         elapsed_ms = 1000.0 * (time.monotonic() - t0)
-        return BenchmarkRecord(
-            qid, mode, "ERROR", 0, 0, elapsed_ms, False, f"{type(e).__name__}: {e}"
-        )
+        return BenchmarkRecord(qid, mode, "ERROR", 0, 0, elapsed_ms, False, f"{type(e).__name__}: {e}")
+    status = verdict.status.value
+    return BenchmarkRecord(
+        qid, mode, status, stats.refinement_steps, stats.iterations,
+        1000.0 * stats.total_time, status == "TIMEOUT",
+    )
 
 
 def run_bench(
@@ -337,46 +331,34 @@ def run_bench(
     order = {m: i for i, m in enumerate(modes)}
     records.sort(key=lambda r: (r.query_id, order[r.mode]))
 
+    decided = {
+        m: {r.query_id: r for r in records if r.mode == m and r.verdict in ("SAT", "UNSAT")}
+        for m in modes
+    }
+    outcomes = Counter((r.mode, r.verdict) for r in records)
     summary = {"modes": {}, "pairs": {}}
-    by_mode = {m: {r.query_id: r for r in records if r.mode == m} for m in modes}
     for m in modes:
-        rs = list(by_mode[m].values())
         summary["modes"][m] = {
-            "finished": sum(r.verdict in ("SAT", "UNSAT") for r in rs),
-            "timeouts": sum(r.timeout for r in rs),
-            "errors": sum(r.verdict == "ERROR" for r in rs),
-            "total_refinements": sum(r.refinements for r in rs if r.verdict in ("SAT", "UNSAT")),
+            "finished": len(decided[m]),
+            "timeouts": outcomes[m, "TIMEOUT"],
+            "errors": outcomes[m, "ERROR"],
+            "total_refinements": sum(r.refinements for r in decided[m].values()),
         }
     for ma, mb in itertools.combinations(modes, 2):
-        common = [
-            qid
-            for qid in by_mode[ma]
-            if by_mode[ma][qid].verdict in ("SAT", "UNSAT")
-            and by_mode[mb][qid].verdict in ("SAT", "UNSAT")
-        ]
+        a, b = decided[ma], decided[mb]
+        common = [q for q in a if q in b]
         summary["pairs"][f"{ma}_vs_{mb}"] = {
             "both_finished": len(common),
-            f"{ma}_faster": sum(by_mode[ma][q].time_ms < by_mode[mb][q].time_ms for q in common),
-            f"{mb}_faster": sum(by_mode[mb][q].time_ms < by_mode[ma][q].time_ms for q in common),
-            f"{ma}_fewer_refinements": sum(
-                by_mode[ma][q].refinements < by_mode[mb][q].refinements for q in common
-            ),
-            f"{mb}_fewer_refinements": sum(
-                by_mode[mb][q].refinements < by_mode[ma][q].refinements for q in common
-            ),
+            f"{ma}_faster": sum(a[q].time_ms < b[q].time_ms for q in common),
+            f"{mb}_faster": sum(b[q].time_ms < a[q].time_ms for q in common),
+            f"{ma}_fewer_refinements": sum(a[q].refinements < b[q].refinements for q in common),
+            f"{mb}_fewer_refinements": sum(b[q].refinements < a[q].refinements for q in common),
         }
 
     if out_csv is not None:
-        write_records_csv(records, out_csv)
-        with open(str(out_csv) + ".summary.json", "w") as fh:
-            json.dump(summary, fh, indent=1)
-            fh.write("\n")
+        with open(out_csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(r.row() for r in records)
+        write_json(summary, str(out_csv) + ".summary.json", indent=1)
     return records, summary
-
-
-def write_records_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(r.row())

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -259,8 +260,11 @@ def _widest_unknown(relu_modes, bm):
 def solve(query: Query, timeout: float | None = None, check_prunes: bool = False) -> Verdict:
     """Decide a query: UNSAT, SAT with witness, or TIMEOUT.
 
-    UNSAT and SAT promise what the module docstring states.
+    UNSAT and SAT promise what the module docstring states.  A NaN timeout,
+    which would mean no limit, is a ``ValueError``.
     """
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout is NaN")
     net, box, c = query.network, query.input, query.output.threshold
     start = time.monotonic()
     nodes = 0

@@ -259,3 +259,52 @@ def test_option_surface():
         "merge_pair", "identity_state",
     ):
         assert not hasattr(reluverify, gone) and gone not in reluverify.__all__
+
+
+_BAD_MANIFESTS = [
+    pytest.param(lambda doc: "{broken", id="malformed-json"),
+    pytest.param(lambda doc: [doc], id="top-level-list"),
+    pytest.param(lambda doc: {"kind": doc["kind"]}, id="no-queries"),
+    pytest.param(lambda doc: {**doc, "queries": doc["queries"][0]}, id="queries-not-a-list"),
+    pytest.param(lambda doc: {**doc, "queries": ["q0000"]}, id="entry-not-an-object"),
+    pytest.param(
+        lambda doc: {**doc, "queries": [{"id": "q0000", "query": "q0000/query.json"}]},
+        id="entry-without-net",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "queries": [{"id": "q0000", "net": 3, "query": "q0000/query.json"}]},
+        id="net-not-a-string",
+    ),
+    pytest.param(lambda doc: {**doc, "queries": doc["queries"][:1] * 2}, id="repeated-id"),
+]
+
+
+@pytest.mark.parametrize("edit", _BAD_MANIFESTS)
+def test_bad_manifests_exit_1_naming_the_file(tmp_path, capsys, edit):
+    # These used to end in a traceback and exit 2.
+    suite = tmp_path / "suite"
+    generate_benchmarks(2, 2, suite)
+    path = suite / "manifest.json"
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--suite", str(suite), "--modes", "direct", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"reluverify: {path}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_gen_out_naming_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["gen", "--seed", "1", "--count", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reluverify: ") and str(out) in err and err.count("\n") == 1, err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "-1", "--count", "1", "--out", str(tmp_path / "gen")])
+    assert exc.value.code == 1
+    assert "argument --seed: must be 0 or more, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reluverify
 from reluverify import (
     FormatError,
     InputBox,
@@ -163,3 +166,26 @@ def test_query_fuzz_roundtrip(tmp_path):
         assert np.array_equal(back.input.lower, box.lower)
         assert np.array_equal(back.input.upper, box.upper)
         assert back.output.threshold == q.output.threshold
+
+
+def test_only_formats_parses_or_writes_json():
+    # Every JSON file goes through formats.read_json / write_json, so a
+    # malformed JSON input always fails as a FormatError naming the file.
+    package = Path(reluverify.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "formats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "dump")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and {a.name for a in node.names} & {"load", "dump"}
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -242,3 +242,24 @@ def test_error_records_carry_the_exception(tmp_path, monkeypatch):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [row["error"] for row in rows] == ["RuntimeError: induced failure"] * 2
+
+
+def test_unknown_kind_creates_no_directory(tmp_path):
+    with pytest.raises(ValueError, match="unknown benchmark kind"):
+        generate_benchmarks(1, 1, tmp_path / "suite", kind="bogus")
+    assert not (tmp_path / "suite").exists()
+
+
+def test_written_files_keep_their_layout(tmp_path):
+    # Net and query files are one compact line; the manifest and the bench
+    # summary are indented by one space.
+    suite = tmp_path / "suite"
+    generate_benchmarks(5, 1, suite, kind="oracle")
+    for name in ("net.json", "query.json"):
+        text = (suite / "q0000" / name).read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1 and ": " in text
+    assert (suite / "manifest.json").read_text().startswith('{\n "kind": "oracle",\n "seed": 5,\n')
+    out = tmp_path / "results.csv"
+    run_bench(suite, ["direct"], out_csv=out)
+    summary = tmp_path / "results.csv.summary.json"
+    assert summary.read_text().startswith('{\n "modes": {\n  "direct": {\n')

@@ -379,3 +379,9 @@ def test_resumed_node_never_conflicts_at_its_branch_layer(tmp_path, monkeypatch)
         solve(q, timeout=60.0)
     assert counts["resumed"] > 1000 and counts["above_k"] > 0
     assert counts["at_k"] == 0
+
+
+def test_solve_rejects_a_nan_timeout(query121):
+    # A NaN limit used to run with no limit and return a verdict.
+    with pytest.raises(ValueError, match="NaN"):
+        solve(query121, timeout=float("nan"))
