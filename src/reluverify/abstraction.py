@@ -27,6 +27,15 @@ at once.  Each result is bit-identical to the per-group expression, which
 the tests keep as the reference.  The split choice scores every merged
 member of every layer in one array and takes one ``argmax``.
 
+A state keeps each layer's ``_layer_order`` in ``orders``, and a split
+rebuilds only the split layer's; the other derivations read the kept ones.
+A state made by ``refine_split`` also records the split ``(layer,
+member)`` and its guiding point with the base network's hidden values
+there.  The next split reuses those values when its point is equal, as it
+is whenever the solver's witness is again the box midpoint.  The two
+re-derived layers are built with ``network._trusted_layer``: their arrays
+come from the checked base, so they are not copied or scanned again.
+
 The aggregation over-approximates the base output for all inputs drawn from
 the relevant box.  Merging neurons of the first hidden layer additionally
 requires the box to be non-negative (their sources are raw inputs rather
@@ -42,9 +51,10 @@ from itertools import chain
 import numpy as np
 
 from .categorize import CategorizedNetwork
-from .network import Layer, Network, hidden_values
+from .network import Layer, Network, _trusted_layer, _trusted_network, hidden_values
 
 Groups = tuple[tuple[tuple[int, ...], ...], ...]
+Order = tuple[np.ndarray, np.ndarray, np.ndarray]  # members, sizes, starts
 
 
 class CannotRefineError(RuntimeError):
@@ -61,10 +71,11 @@ def _layer_order(layer_groups):
     return members, sizes, starts
 
 
-def _collapse(base: CategorizedNetwork, k: int, layer_groups, cols=slice(None)):
+def _collapse(base: CategorizedNetwork, k: int, order: Order, cols=slice(None)):
     """Rows of base layer ``k`` (restricted to ``cols``) collapsed per target
-    group: the per-source max for inc groups, the min for dec groups."""
-    members, _, starts = _layer_order(layer_groups)
+    group of ``order`` (a ``_layer_order``): the per-source max for inc
+    groups, the min for dec groups."""
+    members, _, starts = order
     layer = base.network.layers[k]
     W, b = layer.weights[:, cols][members], layer.biases[members]
     inc = base.increasing[k][members[starts]]
@@ -73,13 +84,14 @@ def _collapse(base: CategorizedNetwork, k: int, layer_groups, cols=slice(None)):
     return rows, biases
 
 
-def _sum_columns(W: np.ndarray, source_groups) -> np.ndarray:
-    """Columns of ``W`` summed within each source group, bit-identical to
-    ``W[:, group].sum(axis=1)`` per group.  The order numpy adds in depends
-    on the gathered array's length and memory layout, and one fancy index
-    per group size, summed over its last axis, keeps both; ``np.add.reduceat``
-    and a sum over a sliced view do not."""
-    members, sizes, starts = _layer_order(source_groups)
+def _sum_columns(W: np.ndarray, order: Order) -> np.ndarray:
+    """Columns of ``W`` summed within each source group of ``order`` (a
+    ``_layer_order``), bit-identical to ``W[:, group].sum(axis=1)`` per
+    group.  The order numpy adds in depends on the gathered array's length
+    and memory layout, and one fancy index per group size, summed over its
+    last axis, keeps both; ``np.add.reduceat`` and a sum over a sliced view
+    do not."""
+    members, sizes, starts = order
     out = np.empty((W.shape[0], sizes.size))
     for size in set(sizes.tolist()):
         at = np.flatnonzero(sizes == size)
@@ -91,14 +103,15 @@ def _aggregate(base: CategorizedNetwork, groups: Groups) -> Network:
     """The abstract network of ``groups``, derived from scratch."""
     net = base.network
     n = len(net.layers)
+    orders = [_layer_order(layer_groups) for layer_groups in groups]
     layers = []
     for k in range(n):
         if k < n - 1:
-            W, b = _collapse(base, k, groups[k])
+            W, b = _collapse(base, k, orders[k])
         else:
             W, b = net.layers[k].weights, net.layers[k].biases
         if k > 0:
-            W = _sum_columns(W, groups[k - 1])
+            W = _sum_columns(W, orders[k - 1])
         layers.append(Layer(W, b, relu=k < n - 1))
     return Network(layers, net.input_size, domain=net.domain)
 
@@ -109,11 +122,20 @@ def _canonical(layer_groups) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, eq=False)
 class AbstractionState:
-    """Groups over a categorized base plus the derived abstract network."""
+    """Groups over a categorized base plus the derived abstract network.
+
+    ``orders`` holds ``_layer_order`` of each layer's groups.  ``split`` is
+    the ``(layer, member)`` that ``refine_split`` extracted to make this
+    state, and ``guide`` its guiding point with the base network's
+    concatenated hidden values there; both are None for a state made from
+    scratch."""
 
     base: CategorizedNetwork
     groups: Groups
     network: Network
+    orders: tuple[Order, ...]
+    split: tuple[int, int] | None = None
+    guide: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def excess(self) -> int:
@@ -130,7 +152,8 @@ class AbstractionState:
 
 def _make_state(base: CategorizedNetwork, groups) -> AbstractionState:
     groups = tuple(_canonical(layer) for layer in groups)
-    return AbstractionState(base, groups, _aggregate(base, groups))
+    orders = tuple(_layer_order(layer) for layer in groups)
+    return AbstractionState(base, groups, _aggregate(base, groups), orders)
 
 
 def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False) -> AbstractionState:
@@ -148,11 +171,12 @@ def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False
     return _make_state(base, groups)
 
 
-def _split_choice(state: AbstractionState, x0: np.ndarray) -> tuple[int, int]:
+def _split_choice(state: AbstractionState, x0: np.ndarray, v_base: np.ndarray) -> tuple[int, int]:
     """The merged member ``(layer, member)`` whose merge most distorts its
     outgoing contribution at ``x0``: the score is the sum over outgoing
-    edges of |w * v_member - w * v_group|.  Ties go to the first layer, then
-    the lowest member index.
+    edges of |w * v_member - w * v_group|, where ``v_base`` holds the base
+    network's concatenated hidden values at ``x0``.  Ties go to the first
+    layer, then the lowest member index.
 
     All hidden layers are scored at once, over their concatenated neurons:
     a member's index is offset by the base sizes of the layers before it,
@@ -160,13 +184,11 @@ def _split_choice(state: AbstractionState, x0: np.ndarray) -> tuple[int, int]:
     value sits in the concatenated abstract values."""
     base = state.base
     offsets = np.cumsum([0] + [len(cats) for cats in base.categories])
-    sizes = np.fromiter(map(len, chain.from_iterable(state.groups)), dtype=np.intp)
-    members = np.fromiter(chain.from_iterable(chain.from_iterable(state.groups)), dtype=np.intp)
-    members += np.repeat(offsets[:-1], np.diff(offsets))
+    members = np.concatenate([m + off for (m, _, _), off in zip(state.orders, offsets)])
+    sizes = np.concatenate([s for _, s, _ in state.orders])
     group = np.repeat(np.arange(sizes.size), sizes)
     merged = sizes[group] > 1
     m, g = members[merged], group[merged]
-    v_base = np.concatenate(hidden_values(base.network, x0))
     v_abs = np.concatenate(hidden_values(state.network, x0))
     score = np.full(offsets[-1], -np.inf)
     score[m] = np.concatenate(base.outgoing_weight)[m] * np.abs(v_base[m] - v_abs[g])
@@ -181,41 +203,48 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
 
     The result sits between the previous state and the base in the
     over-approximation order, and the total merge excess strictly drops.
+    It records the split ``(layer, member)`` and shares layers
+    ``0..layer-1`` with the previous state's network.
     """
     if state.excess == 0:
         raise CannotRefineError("all groups are singletons; nothing to split")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (state.base.network.input_size,):
         raise ValueError("x0 has the wrong dimension")
+    guide = state.guide
+    if guide is None or not np.array_equal(guide[0], x0):
+        guide = x0.copy(), np.concatenate(hidden_values(state.base.network, x0))
 
-    L, member = _split_choice(state, x0)
+    L, member = _split_choice(state, x0, guide[1])
     old_groups = state.groups[L]
-    gi = next(i for i, g in enumerate(old_groups) if member in g)
+    members, _, starts = state.orders[L]
+    gi = int(np.searchsorted(starts, np.flatnonzero(members == member)[0], side="right")) - 1
     split = ((member,), tuple(m for m in old_groups[gi] if m != member))
     # Where each new group's row (layer L) and column (layer L+1) comes from:
     # the parent's other groups, or the two fresh ones appended after them,
     # taken in the canonical order of their first members.
-    firsts = [g[0] for g in old_groups] + [member, split[1][0]]
+    firsts = np.concatenate([members[starts], [member, split[1][0]]])
     firsts[gi] = -1  # sorts first and is dropped: group gi is replaced
     order = np.argsort(firsts)[1:]
-    groups = list(state.groups)
+    groups, orders = list(state.groups), list(state.orders)
     groups[L] = tuple((old_groups + split)[i] for i in order)
+    orders[L] = _layer_order(groups[L])
 
     base, layers = state.base, list(state.network.layers)
-    rows, biases = _collapse(base, L, split)
+    rows, biases = _collapse(base, L, _layer_order(split))
     if L > 0:
-        rows = _sum_columns(rows, groups[L - 1])
+        rows = _sum_columns(rows, orders[L - 1])
     W, b = np.concatenate([layers[L].weights, rows]), np.concatenate([layers[L].biases, biases])
-    layers[L] = Layer(W.take(order, axis=0), b.take(order), relu=True)
+    layers[L] = _trusted_layer(W.take(order, axis=0), b.take(order), relu=True)
     cols = list(split[0] + split[1])
     if L + 1 < len(layers) - 1:
-        W, _ = _collapse(base, L + 1, groups[L + 1], cols)
+        W, _ = _collapse(base, L + 1, orders[L + 1], cols)
     else:
         W = base.network.layers[L + 1].weights[:, cols]
     # Column 0 alone and the rest summed, adding in the order _sum_columns
     # would (a sum over the view W[:, 1:] adds in another order).
     W = np.column_stack([W[:, [0]].sum(axis=1), W[:, np.arange(1, len(cols))].sum(axis=1)])
     W = np.concatenate([layers[L + 1].weights, W], axis=1)
-    layers[L + 1] = Layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
-    network = Network(layers, state.network.input_size, domain=state.network.domain)
-    return AbstractionState(base, tuple(groups), network)
+    layers[L + 1] = _trusted_layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
+    network = _trusted_network(tuple(layers), state.network)
+    return AbstractionState(base, tuple(groups), network, tuple(orders), (L, member), guide)

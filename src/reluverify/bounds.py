@@ -25,21 +25,25 @@ phases hold.  A solver child differs from its parent only in the phases
 of layer k, so ``sbt`` can resume from the parent's result at layer k: it
 reuses layers 0..k-1 and layer k's pre-activations, and reruns the same
 steps from layer k's ReLU step on, which gives the same arrays as a run
-from the input.
+from the input.  The parent may also be another network whose layers
+0..k are this one's own ``Layer`` objects, bounded with the same phases:
+``refine_split`` changes only layers L and L+1 of an abstract network, so
+``loop.verify`` bounds the new one by resuming at L-1 from the root result
+of the one it was split from.
 
 A root call, one with neither phases nor ``resume``, is a pure function of
 a ``Network`` and an ``InputBox``, both frozen with read-only arrays.
-``sbt`` keeps its result in ``_ROOTS``, keyed weakly by the network
-together with the box, and answers a root call on the same network and
-the same box object (``is``) from there.  Identity keys are sound because
-neither object can change, and they cost no array comparison.  An entry
-holds the network's latest box only, and it dies with its network.
-``loop.verify`` bounds with a box of its own per call, so a kept result
-serves only the call that made it: ``cegarette`` bounds the unchanged
-original once per call, and ``solve``'s root reuses the abstract bound
-that ``output_gap`` has just computed, while a repeated call on the same
-``Query`` bounds afresh.  Sharing is safe because no code changes an
-``sbt`` result in place.
+``sbt`` keeps every result computed without phases, resumed or not, in
+``_ROOTS``, keyed weakly by the network together with the box, and answers
+a root call on the same network and the same box object (``is``) from
+there.  Identity keys are sound because neither object can change, and
+they cost no array comparison.  An entry holds the network's latest box
+only, and it dies with its network.  ``loop.verify`` bounds with a box of
+its own per call, so a kept result serves only the call that made it:
+``cegarette`` bounds the unchanged original once per call, and ``solve``'s
+root reuses the abstract bound that the loop or ``output_gap`` has just
+computed, while a repeated call on the same ``Query`` bounds afresh.
+Sharing is safe because no code changes an ``sbt`` result in place.
 
 If original(x) + d <= abstract(x) on the box, then checking the abstract
 network against ``y > c + d`` over-approximates checking the original
@@ -166,18 +170,19 @@ def sbt(
     (unstable).
 
     ``resume=(k, modes, bm)`` continues from a parent's result ``(modes,
-    bm)`` of this function, whose phases equal ``phases`` outside layer k:
-    layers 0..k-1 and layer k's pre-activations are taken from it, and the
-    rest is computed as a call without ``resume`` would, so the result is
-    the same.
+    bm)`` of this function over the same box, whose phases equal ``phases``
+    outside layer k: layers 0..k-1 and layer k's pre-activations are taken
+    from it, and the rest is computed as a call without ``resume`` would,
+    so the result is the same.  The parent is this network or one that
+    shares its ``Layer`` objects 0..k.
 
     A root call (no ``phases``, no ``resume``) may be answered from
-    ``_ROOTS``; the module docstring says when.
+    ``_ROOTS``, and a call without ``phases`` is kept there; the module
+    docstring says when.
     """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
-    root = phases is None and resume is None
-    if root:
+    if phases is None and resume is None:
         kept = _ROOTS.get(net)
         if kept is not None and kept[0] is box:
             return kept[1]
@@ -203,7 +208,7 @@ def sbt(
             post, iv = pre_expr[j], pre_iv[j]
         post_iv.append(iv)
     result = tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv), tuple(pre_expr))
-    if root:
+    if phases is None:
         _ROOTS[net] = (box, result)
     return result
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -80,7 +81,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work, not after it, when ``path`` cannot be written:
+    its directory is missing or it names a directory."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"{path}: no directory {folder} to write in")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory")
+
+
 def _cmd_verify(args) -> int:
+    if args.out:
+        _check_out(args.out)
     q = load_query(args.prop, load_network(args.net))
     verdict, stats = verify(q, args.mode, timeout=args.timeout)
     doc = {"verdict": verdict.to_dict(), "stats": stats.to_dict()}
@@ -98,6 +111,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    _check_out(args.out)
     records, summary = run_bench(
         args.suite, modes, timeout=args.timeout, jobs=args.jobs, out_csv=args.out
     )

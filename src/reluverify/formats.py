@@ -20,14 +20,20 @@ class FormatError(ValueError):
 def read_json(path) -> dict:
     """Parse a JSON file whose top-level value must be an object.  This and
     ``write_json`` are the package's one way to read and write JSON files."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")
     return doc
+
+
+def _not_utf8(path, e: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not UTF-8 text: {e.reason} (byte {e.object[e.start]:#04x})")
 
 
 def write_json(doc, path, indent=None) -> None:
@@ -107,8 +113,11 @@ def _nnet_values(line: str) -> list[float]:
 
 def load_nnet(path) -> Network:
     """Read the ACAS-Xu style plain-text format (all hidden layers ReLU)."""
-    with open(path) as fh:
-        raw = [ln for ln in fh.readlines() if not ln.startswith("//")]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = [ln for ln in fh.readlines() if not ln.startswith("//")]
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
     lines = [ln for ln in (ln.strip() for ln in raw) if ln]
     try:
         header = _nnet_values(lines[0])

@@ -13,7 +13,9 @@ three agree on verdicts outside the granularity band ``(c, c + EPSILON)``
 Each network is bounded once per call: ``bounds.sbt`` keeps its root
 results for the box ``verify`` builds, so ``cegarette`` bounds the
 original once, and ``solve``'s root reuses the abstract network's bound
-from the gap.
+from the gap.  A split at layer L leaves layers 0..L-1 of the abstract
+network as they were, so the new network's root bound resumes from the
+previous one's at layer L-1 and recomputes only the layers from L on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .abstraction import abstract_to_saturation, refine_split
-from .bounds import tighten_property
+from .bounds import sbt, tighten_property
 from .categorize import preprocess
 from .network import Query
 from .solver import Status, Verdict, is_witness, solve
@@ -43,6 +45,7 @@ class RunStats:
     refinement_steps: int = 0
     abstract_hidden_sizes: list[list[int]] = field(default_factory=list)
     thresholds: list[float] = field(default_factory=list)
+    splits: list[tuple[int, int]] = field(default_factory=list)  # (layer, member) per refinement
     solver_times: list[float] = field(default_factory=list)
     solver_nodes: int = 0
     sampled_counterexamples: int = 0  # solves whose SAT witness came from the root falsifier
@@ -113,6 +116,10 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
         # never gets past it to refine.
         if is_genuine(q, x0):
             return finish(Status.SAT, x0, v.sampled)
-        state = refine_split(state, x0)
+        parent, state = network, refine_split(state, x0)
         network = state.network
+        L = state.split[0]
+        if L > 0:
+            sbt(network, box, None, (L - 1, *sbt(parent, box)))
+        stats.splits.append(state.split)
         stats.refinement_steps += 1

@@ -5,6 +5,13 @@ are layer-``i`` neurons and whose columns are layer ``i-1`` neurons.  Hidden
 layers apply ReLU, the (single-row or multi-row) output layer is affine.
 All instances are immutable after construction; transformations elsewhere in
 the package build new networks instead of mutating.
+
+The public constructors copy their arrays, check every shape and scan for
+non-finite entries.  ``_trusted_layer`` and ``_trusted_network`` skip all
+three for arrays that package code has just derived from an already
+checked network, and still set the arrays read-only; only
+``abstraction.refine_split`` uses them, on the rows and columns it
+re-aggregates.
 """
 
 from __future__ import annotations
@@ -129,6 +136,28 @@ class Network:
     @property
     def hidden_sizes(self) -> list[int]:
         return [layer.size for layer in self.layers[:-1]]
+
+
+def _trusted_layer(weights: np.ndarray, biases: np.ndarray, relu: bool) -> Layer:
+    """A ``Layer`` over arrays its caller owns and has derived from checked
+    ones: not copied, not scanned, only made read-only."""
+    weights.flags.writeable = False
+    biases.flags.writeable = False
+    layer = object.__new__(Layer)
+    object.__setattr__(layer, "weights", weights)
+    object.__setattr__(layer, "biases", biases)
+    object.__setattr__(layer, "relu", relu)
+    return layer
+
+
+def _trusted_network(layers: tuple[Layer, ...], like: Network) -> Network:
+    """A ``Network`` over ``layers``, whose shapes and activations its caller
+    keeps consistent, with the input size and domain of ``like``."""
+    net = object.__new__(Network)
+    object.__setattr__(net, "layers", layers)
+    object.__setattr__(net, "input_size", like.input_size)
+    object.__setattr__(net, "domain", like.domain)
+    return net
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,8 @@ Networks without twins branch on one neuron at a time.
 The root is bounded by a root ``sbt`` call, without phases: its phases
 are all unknown, which gives the same arrays, and the call can reuse the
 result ``bounds`` keeps for the query's network and box, such as the
-abstract bound of ``cegarette``'s gap.
+abstract bound of ``cegarette``'s gap or the one ``loop.verify`` resumes
+from the previous abstract network after a split.
 
 A child changes only the phases of its branch layer k, so its node bounds
 resume from the parent's ``sbt`` result, kept with the child on the DFS
@@ -41,9 +42,10 @@ check.  Layer k keeps the parent's pre-activation bounds, and its only
 changed phases are those of the branched twin class, which was unknown
 in the parent (``plo < 0 < phi``), so it cannot conflict either.
 Sharing is safe because no code changes a phase array or a stored
-``sbt`` result in place.  The branch neuron is the unknown one with the
-widest pre-activation interval, the first in layer order, then in index
-order, on ties.
+``sbt`` result in place.  The root checks no layer: all its phases are
+unknown, so none can conflict.  The branch neuron is the unknown one with
+the widest pre-activation interval, the first in layer order, then in
+index order, on ties.
 
 Before the root branches, ``_falsify`` looks for a SAT witness by
 sampling.  It runs once per ``solve``, at the root, when the root bound
@@ -288,10 +290,9 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         nodes += 1
         relu_modes, bm = sbt(net, box) if resume is None else sbt(net, box, phases, resume)
 
-        first = 0 if resume is None else resume[0] + 1
-        conflict = any(
+        conflict = resume is not None and any(
             np.any((ph == ACTIVE) & (phi < 0)) or np.any((ph == INACTIVE) & (plo > 0))
-            for ph, (plo, phi) in zip(phases[first:], bm.pre[first:])
+            for ph, (plo, phi) in zip(phases[resume[0] + 1 :], bm.pre[resume[0] + 1 :])
         )
         if conflict:
             if check_prunes:

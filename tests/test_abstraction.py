@@ -12,7 +12,16 @@ from reluverify import (
     refine_split,
 )
 
-from reluverify.abstraction import _aggregate, _collapse, _make_state, _split_choice, _sum_columns
+from reluverify.abstraction import (
+    _aggregate,
+    _collapse,
+    _layer_order,
+    _make_state,
+    _split_choice,
+    _sum_columns,
+)
+from reluverify import bounds
+from reluverify.bounds import sbt
 from reluverify.categorize import CATEGORY_NAMES
 from reluverify.network import hidden_values
 
@@ -286,9 +295,9 @@ def test_split_choice_matches_loop_reference():
                 rng.uniform(0.0, 1.0, size=net.input_size),
                 np.zeros(net.input_size),
             ):
-                got = _split_choice(state, x0)
-                assert got == _loop_split_choice(state, x0), trial
                 v_base, v_abs = hidden_values(base.network, x0), hidden_values(state.network, x0)
+                got = _split_choice(state, x0, np.concatenate(v_base))
+                assert got == _loop_split_choice(state, x0), trial
                 scores = [
                     base.outgoing_weight[k][m] * abs(v_base[k][m] - v_abs[k][gi])
                     for k, layer in enumerate(state.groups)
@@ -320,10 +329,63 @@ def test_collapse_and_column_sums_match_loop_references():
             n_in = layer.weights.shape[1]
             subset = list(rng.choice(n_in, size=int(rng.integers(1, n_in + 1)), replace=False))
             for cols in (slice(None), subset):
-                W, b = _collapse(base, k, groups, cols)
+                W, b = _collapse(base, k, _layer_order(groups), cols)
                 W_ref, b_ref = _loop_collapse(base, k, groups, cols)
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes(), trial
             after = base.network.layers[k + 1].weights
-            assert _sum_columns(after, groups).tobytes() == _loop_sum_columns(after, groups).tobytes(), trial
+            got = _sum_columns(after, _layer_order(groups))
+            assert got.tobytes() == _loop_sum_columns(after, groups).tobytes(), trial
     assert directions == {"inc", "dec"}
     assert 1 in sizes and max(sizes) >= 16
+
+
+def _root_bytes(result):
+    modes, bm = result
+    arrays = [*modes, *(a for pair in bm.pre + bm.post for a in pair), *(a for e in bm.pre_expr for a in e)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_refinement_chain_keeps_orders_and_resumes_roots():
+    # Along seeded refinement chains, guided half the time by the box
+    # midpoint (so the kept base values are reused) and half the time by a
+    # random point, each split must keep every layer's group order equal to
+    # _layer_order of its groups, build its two layers read-only, and give a
+    # network whose root bound, resumed from the parent's at L - 1, equals a
+    # fresh one array for array.
+    rng = np.random.default_rng(39)
+    seen, reused = set(), 0
+    for trial in range(30):
+        net = random_network(rng, n_layers=int(rng.integers(1, 5)), max_width=8)
+        base = preprocess(net)
+        nonneg = trial % 4 != 3
+        box = random_box(rng, net.input_size, nonneg=nonneg)
+        state = abstract_to_saturation(base, nonneg_inputs=nonneg)
+        last = len(net.layers) - 2
+        while state.excess > 0:
+            x0 = box.midpoint() if rng.random() < 0.5 else rng.uniform(box.lower, box.upper)
+            reused += state.guide is not None and np.array_equal(state.guide[0], x0)
+            new = refine_split(state, x0)
+            L, member = new.split
+            assert [k for k in range(last + 1) if new.groups[k] != state.groups[k]] == [L]
+            assert (member,) in new.groups[L]
+            assert np.array_equal(new.guide[0], x0)
+            assert np.array_equal(new.guide[1], np.concatenate(hidden_values(base.network, x0)))
+            for kept, layer_groups in zip(new.orders, new.groups):
+                for got, want in zip(kept, _layer_order(layer_groups)):
+                    assert np.array_equal(got, want), trial
+            for layer in new.network.layers[L : L + 2]:
+                for a in (layer.weights, layer.biases, *layer.weight_parts):
+                    assert not a.flags.writeable and a.flags.c_contiguous
+                Wp, Wn = layer.weight_parts
+                assert np.array_equal(Wp, np.maximum(layer.weights, 0.0))
+                assert np.array_equal(Wn, np.minimum(layer.weights, 0.0))
+            bounds._ROOTS.clear()
+            fresh = _root_bytes(sbt(new.network, box))
+            if L > 0:
+                bounds._ROOTS.clear()
+                parent = sbt(state.network, box)
+                assert _root_bytes(sbt(new.network, box, None, (L - 1, *parent))) == fresh, trial
+                assert _root_bytes(sbt(new.network, box)) == fresh  # kept, and answers a root call
+            seen.add("first" if L == 0 else "last" if L == last else "inner")
+            state = new
+    assert seen == {"first", "inner", "last"} and reused > 50

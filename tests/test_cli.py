@@ -308,3 +308,51 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 1
     assert "argument --seed: must be 0 or more, got -1" in capsys.readouterr().err
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("which, name", [(0, "net.json"), (0, "net.nnet"), (1, "prop.json")])
+def test_non_utf8_input_exits_1_naming_the_file(query_files, tmp_path, capsys, which, name):
+    # A file starting with byte 0xff used to end in a UnicodeDecodeError
+    # traceback and exit 2.
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff" + b"1,2,3\n" * 8)
+    args = list(query_files)
+    args[which] = str(bad)
+    assert main(["verify", "--net", args[0], "--prop", args[1]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"reluverify: {bad}: not UTF-8") and err.count("\n") == 1, err
+
+
+def test_verify_out_in_a_missing_directory_exits_before_solving(query_files, tmp_path, capsys, monkeypatch):
+    import reluverify.cli as cli
+
+    solved = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: solved.append(a))
+    net, prop = query_files
+    out = tmp_path / "missing" / "v.json"
+    assert main(["verify", "--net", net, "--prop", prop, "--out", str(out)]) == 1
+    assert solved == []
+    assert capsys.readouterr().err.startswith(f"reluverify: {out}: ")
+
+
+def test_bench_out_in_a_missing_directory_exits_before_deciding(tmp_path, capsys, monkeypatch):
+    import reluverify.harness as harness
+
+    decided = []
+    monkeypatch.setattr(harness, "verify", lambda *a, **kw: decided.append(a))
+    suite = tmp_path / "suite"
+    generate_benchmarks(2, 2, suite)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["bench", "--suite", str(suite), "--modes", "direct", "--out", str(out)]) == 1
+    assert decided == []
+    assert capsys.readouterr().err.startswith(f"reluverify: {out}: ")
+
+
+def test_out_lists_each_split(query_files, tmp_path):
+    net, prop = query_files
+    out = tmp_path / "run.json"
+    assert main(["verify", "--net", net, "--prop", prop, "--mode", "cegar", "--out", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    assert stats["refinement_steps"] >= 1
+    assert stats["splits"] == [[0, 1]] * stats["refinement_steps"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from reluverify import (
     evaluate,
     verify,
 )
-from reluverify import loop, solver
+from reluverify import bounds, loop, solver
+from reluverify.abstraction import _make_state
 from reluverify.loop import is_genuine
 
 from conftest import (
@@ -190,28 +193,104 @@ def test_sampled_counterexamples_are_counted(monkeypatch):
 def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
     # The original network never changes during a run, so its root bound is
     # computed once per call, not once per iteration; a second call on the
-    # same Query computes it again.  Each abstract network's root bound is
-    # computed once, for the gap, and reused at the solver's root.  A root
-    # computation is the one affine step on a network's first layer: a
-    # child node resumes past it.
+    # same Query computes it again.  The first abstract network is bounded
+    # in full, once, for the gap.  Each later one shares layers 0..L-1 with
+    # the network it was split from at layer L, and its root bound resumes
+    # from that one's, so it takes one affine step per layer from L on.
+    # ``solve``'s root reuses the bound and takes no affine step; its child
+    # nodes resume past their branch layers.
     rng = np.random.default_rng(9)
     q = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
-    solved = []
-    real_solve = loop.solve
+    solved, root_steps = [], []
+    real_solve, real_sbt = loop.solve, solver.sbt
 
     def recording_solve(query, **kwargs):
-        solved.append(query.network)
-        return real_solve(query, **kwargs)
+        solved.append((query.network, len(affine_steps)))
+        v = real_solve(query, **kwargs)
+        solved[-1] += (len(affine_steps),)
+        return v
+
+    def recording_sbt(net, box, phases=None, resume=None):
+        before = len(affine_steps)
+        result = real_sbt(net, box, phases, resume)
+        if resume is None:
+            root_steps.append(len(affine_steps) - before)
+        return result
 
     monkeypatch.setattr(loop, "solve", recording_solve)
+    monkeypatch.setattr(solver, "sbt", recording_sbt)
     for _ in range(2):
         affine_steps.clear()
         solved.clear()
+        root_steps.clear()
         v, stats = verify(q, "cegarette")
         assert v.status is Status.UNSAT and stats.iterations == len(solved) == 13
-        assert sum(layer is q.network.layers[0] for layer in affine_steps) == 1
-        firsts = {id(net.layers[0]) for net in solved}
-        assert sum(id(layer) in firsts for layer in affine_steps) == stats.iterations
+        assert root_steps == [0] * stats.iterations
+        inside = {i for _, start, end in solved for i in range(start, end)}
+        outside = [layer for i, layer in enumerate(affine_steps) if i not in inside]
+        nets = [net for net, _, _ in solved]
+        expected = [*nets[0].layers, *q.network.layers]
+        for net, (L, _) in zip(nets[1:], stats.splits):
+            expected += net.layers[L:]
+        assert len(outside) == len(expected) and all(a is b for a, b in zip(outside, expected))
+        assert any(L > 0 for L, _ in stats.splits)
+
+
+def test_splits_name_the_layer_whose_groups_changed(abstraction_states):
+    rng = np.random.default_rng(84)
+    refined = 0
+    for _ in range(30):
+        q = random_query(rng, net=random_network(rng, n_layers=int(rng.integers(1, 4))), nonneg=True)
+        for mode in ("cegar", "cegarette"):
+            abstraction_states.clear()
+            _, stats = verify(q, mode)
+            assert len(stats.splits) == stats.refinement_steps == len(abstraction_states) - 1
+            for (L, member), old, new in zip(stats.splits, abstraction_states, abstraction_states[1:]):
+                changed = [k for k, (a, b) in enumerate(zip(old.groups, new.groups)) if a != b]
+                assert changed == [L] and (member,) in new.groups[L]
+            refined += stats.refinement_steps
+    assert refined > 50
+
+
+class _KeepsNothing(dict):
+    """A stand-in for ``bounds._ROOTS`` under which every root is bounded fresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_incremental_paths_match_from_scratch_reference(monkeypatch):
+    # The reference run rebuilds every state with ``_aggregate`` (no shared
+    # layers, no kept group orders or base values) and bounds every root
+    # from the input; verdicts, witnesses, node counts, thresholds and
+    # splits must be those of the run as shipped.
+    rng = np.random.default_rng(85)
+    queries = [
+        random_query(rng, net=random_network(rng, n_layers=int(rng.integers(2, 4)), max_width=6), nonneg=True)
+        for _ in range(12)
+    ]
+
+    def run():
+        out = []
+        for q in queries:
+            for mode in ("cegar", "cegarette"):
+                v, stats = verify(q, mode)
+                witness = None if v.witness is None else v.witness.tobytes()
+                out.append((v.status, witness, v.nodes, stats.thresholds, stats.splits))
+        return out
+
+    shipped = run()
+    real_refine = loop.refine_split
+
+    def refine_from_scratch(state, x0):
+        new = real_refine(state, x0)
+        return dataclasses.replace(_make_state(new.base, new.groups), split=new.split)
+
+    monkeypatch.setattr(loop, "refine_split", refine_from_scratch)
+    monkeypatch.setattr(bounds, "_ROOTS", _KeepsNothing())
+    assert run() == shipped
+    splits = [L for *_, s in shipped for L, _ in s]
+    assert sum(L > 0 for L in splits) > 20 and 0 in splits
 
 
 def test_repeated_runs_do_equal_bound_work(affine_steps):
