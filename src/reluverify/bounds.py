@@ -21,15 +21,23 @@ a relaxed one's is [0, phi].
 SBT accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
 resulting bounds are then sound on the sub-region of the box where those
-phases hold.  A solver child differs from its parent only in the phases
-of layer k, so ``sbt`` can resume from the parent's result at layer k: it
-reuses layers 0..k-1 and layer k's pre-activations, and reruns the same
-steps from layer k's ReLU step on, which gives the same arrays as a run
-from the input.  The parent may also be another network whose layers
+phases hold.  The phases may carry a leading node axis, one ``(K, n_k)``
+array per hidden layer, which bounds K nodes in one call: each array the
+phases reach gets the node axis too, and each node's slice equals, byte
+for byte, what a one-node call on that node's phases returns: ``@`` over
+a leading axis runs the one-node product once per node, and every other
+operation is elementwise.  The affine step therefore multiplies the
+constant vectors as one-column matrices, ``(W @ v[..., None])[..., 0]``.
+Layer 0's pre-activations, which no phase reaches, stay shared.
+
+``sbt`` can also resume from an earlier result at layer k: it reuses
+layers 0..k-1 and layer k's pre-activations, and reruns the same steps
+from layer k's ReLU step on, which gives the same arrays as a run from the
+input.  The earlier result may come from another network whose layers
 0..k are this one's own ``Layer`` objects, bounded with the same phases:
 ``refine_split`` changes only layers L and L+1 of an abstract network, so
 ``loop.verify`` bounds the new one by resuming at L-1 from the root result
-of the one it was split from.
+of the one it was split from.  That is the only caller that resumes.
 
 A root call, one with neither phases nor ``resume``, is a pure function of
 a ``Network`` and an ``InputBox``, both frozen with read-only arrays.
@@ -66,8 +74,8 @@ class BoundsMap:
     """Per-layer [lo, hi] arrays for pre- and post-activation values.
 
     ``sbt`` also keeps each layer's pre-activation expressions in
-    ``pre_expr``, so that a child node can resume from them; ``ibp`` leaves
-    it empty.
+    ``pre_expr``, so that a later call can resume from them; ``ibp`` leaves
+    it empty.  ``output_interval`` reads a one-node map.
     """
 
     pre: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -124,8 +132,9 @@ def _pre_step(layer, post, box: InputBox):
     from the previous layer's post-activation ones, and their intervals."""
     (Wp, Wn), b = layer.weight_parts, layer.biases
     Lc, Lk, Uc, Uk = post
-    pLc, pLk = Wp @ Lc + Wn @ Uc, Wp @ Lk + Wn @ Uk + b
-    pUc, pUk = Wp @ Uc + Wn @ Lc, Wp @ Uk + Wn @ Lk + b
+    Lk, Uk = Lk[..., None], Uk[..., None]
+    pLc, pLk = Wp @ Lc + Wn @ Uc, (Wp @ Lk + Wn @ Uk)[..., 0] + b
+    pUc, pUk = Wp @ Uc + Wn @ Lc, (Wp @ Uk + Wn @ Lk)[..., 0] + b
     return (pLc, pLk, pUc, pUk), (_concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box))
 
 
@@ -138,13 +147,13 @@ def _relu_step(pre, interval, fixed, box: InputBox):
     (inactive) or the constant ``phi`` (relaxed)."""
     pLc, pLk, pUc, pUk = pre
     plo, phi = interval
-    mode = np.zeros(plo.shape[0], dtype=np.int8)
+    mode = np.zeros(plo.shape, dtype=np.int8)
     mode[plo >= 0.0] = 1
     mode[phi <= 0.0] = -1
     if fixed is not None:
         mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
     active = mode == 1
-    rows = active[:, None]
+    rows = active[..., None]
     post = (
         np.where(rows, pLc, 0.0),
         np.where(active, pLk, 0.0),
@@ -168,6 +177,10 @@ def sbt(
     ``relu_modes`` records how each hidden neuron was resolved: +1
     expressions passed through (active), -1 zeroed (inactive), 0 relaxed
     (unstable).
+
+    ``phases`` holds one int8 array per hidden layer, ``(n_k,)`` for one
+    node or ``(K, n_k)`` for K nodes; the module docstring says what a
+    batch returns.
 
     ``resume=(k, modes, bm)`` continues from a parent's result ``(modes,
     bm)`` of this function over the same box, whose phases equal ``phases``

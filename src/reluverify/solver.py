@@ -29,23 +29,33 @@ The root is bounded by a root ``sbt`` call, without phases: its phases
 are all unknown, which gives the same arrays, and the call can reuse the
 result ``bounds`` keeps for the query's network and box, such as the
 abstract bound of ``cegarette``'s gap or the one ``loop.verify`` resumes
-from the previous abstract network after a split.
+from the previous abstract network after a split.  A root that decides,
+or that is a leaf, is all the work a query does.
 
-A child changes only the phases of its branch layer k, so its node bounds
-resume from the parent's ``sbt`` result, kept with the child on the DFS
-stack: only layer k's ReLU step and the layers after it are recomputed,
-with the same result as bounding from scratch.  For the same reason a
-child copies only layer k's phase array and shares the others with its
-parent, and it checks for phase conflicts only on the layers above k.
-The layers below carry the parent's bounds and phases, which passed the
-check.  Layer k keeps the parent's pre-activation bounds, and its only
-changed phases are those of the branched twin class, which was unknown
-in the parent (``plo < 0 < phi``), so it cannot conflict either.
-Sharing is safe because no code changes a phase array or a stored
-``sbt`` result in place.  The root checks no layer: all its phases are
-unknown, so none can conflict.  The branch neuron is the unknown one with
-the widest pre-activation interval, the first in layer order, then in
-index order, on ties.
+The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
+nodes off the top of its depth-first stack and bounds them with one
+``sbt`` call, whose phases carry a leading node axis.  The phase-conflict
+check, the prune and the branch choice then run over the whole batch at
+once, and each leaf still gets its own LP, with the time limit checked
+before every one.  Each node is bounded from the input.  That gives the
+arrays a bound resumed from its parent would: ``sbt`` gives every node of
+a batch the arrays of a one-node call on its phases, and a resumed call
+gives the arrays of a call from the input.  A node's bound therefore
+depends only on its phases, so the same node is closed, branched the same
+way or sent to the same LP whatever batch it is in, and an UNSAT search
+visits the same tree as a one-node search.  A SAT search may stop at
+another leaf, because a batch runs its leaves' LPs before the children of
+its other nodes.  The conflict check covers every layer.  At a child's
+branch layer and below it, that check finds nothing: those layers'
+pre-activation bounds are the parent's, which passed, and the branched
+twin class was unknown in the parent (``plo < 0 < phi``).
+
+The branch neuron is the unknown one with the widest pre-activation
+interval, the first in layer order, then in index order, on ties.  Its
+twin class is computed the first time a ``solve`` branches on it and
+then kept for that ``solve``.  A child copies only its branch layer's
+phase array and shares the others with its parent, which is safe because
+no code changes a phase array in place.
 
 Before the root branches, ``_falsify`` looks for a SAT witness by
 sampling.  It runs once per ``solve``, at the root, when the root bound
@@ -99,6 +109,7 @@ WITNESS_SLACK = 1e-9
 RETRY_TOLERANCES = {"tol": 1e-11, "feas_tol": 1e-10}
 FALSIFY_SAMPLES = 256
 FALSIFY_STEPS = 5
+BATCH = 64
 
 
 class Status(str, enum.Enum):
@@ -242,21 +253,20 @@ def _falsify(net: Network, box: InputBox, c: float):
 
 
 def _widest_unknown(relu_modes, bm):
-    """The unknown neuron ``(k, i)`` with the widest pre-activation interval,
-    or None if there is none; ties go to the first in layer order, then in
-    index order."""
+    """The unknown neuron with the widest pre-activation interval, as an
+    index into the hidden neurons in layer order, or -1 if there is none;
+    ties go to the first in layer order, then in index order.
+
+    The neuron axis trails and any node axes lead: one node's modes give
+    a 0-d result, a batch's ``(K, n_k)`` modes give one index per node.
+    """
     if not relu_modes:
-        return None
+        return np.int64(-1)
     widths = np.concatenate(
-        [np.where(mode == UNKNOWN, phi - plo, -np.inf) for mode, (plo, phi) in zip(relu_modes, bm.pre)]
+        [np.where(mode == UNKNOWN, phi - plo, -np.inf) for mode, (plo, phi) in zip(relu_modes, bm.pre)],
+        axis=-1,
     )
-    j = int(np.argmax(widths))
-    if widths[j] == -np.inf:
-        return None
-    for k, mode in enumerate(relu_modes):
-        if j < mode.size:
-            return k, j
-        j -= mode.size
+    return np.where(widths.max(axis=-1) == -np.inf, -1, widths.argmax(axis=-1))
 
 
 def solve(query: Query, timeout: float | None = None, check_prunes: bool = False) -> Verdict:
@@ -281,52 +291,75 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         return verdict(Status.TIMEOUT)
 
     root = tuple(np.zeros(sz, dtype=np.int8) for sz in net.hidden_sizes)
-    # A stack entry is a node's phases and its parent's resume state (None at the root).
-    stack: list[tuple[tuple[np.ndarray, ...], tuple | None]] = [(root, None)]
+    nodes = 1
+    relu_modes, bm = sbt(net, box)
+    lo_out, hi_out = bm.output_interval
+    if hi_out <= c:
+        if check_prunes:
+            _assert_no_sat_leaf(net, box, root, c)
+        return verdict(Status.UNSAT)
+    if lo_out >= c + EPSILON:
+        # Every box point is a witness when the sound lower bound clears c.
+        mid = box.midpoint()
+        if is_witness(net, mid, c):
+            return verdict(Status.SAT, mid)
+    branch = int(_widest_unknown(relu_modes, bm))
+    if branch < 0:
+        x = _solve_leaf(net, box, relu_modes, root, c)
+        return verdict(Status.UNSAT) if x is None else verdict(Status.SAT, x)
+    x = _falsify(net, box, c)
+    if x is not None:
+        return verdict(Status.SAT, x, sampled=True)
+
+    twins: dict[int, tuple[int, np.ndarray]] = {}  # neuron index -> (layer, its twin class)
+
+    def children(phases, j: int) -> list:
+        """The node's two children on neuron ``j``'s twin class, active first."""
+        if j not in twins:
+            i = j
+            for k, size in enumerate(net.hidden_sizes):
+                if i < size:
+                    break
+                i -= size
+            W, b = net.layers[k].weights, net.layers[k].biases
+            twins[j] = k, np.flatnonzero((W == W[i]).all(axis=1) & (b == b[i]))
+        k, cls = twins[j]
+        kids = []
+        for val in (ACTIVE, INACTIVE):
+            ph = phases[k].copy()
+            ph[cls] = val
+            kids.append(phases[:k] + (ph,) + phases[k + 1 :])
+        return kids
+
+    # The stack's top is its end; each batch lists its nodes top first.
+    stack = children(root, branch)[::-1]
     while stack:
         if timed_out():
             return verdict(Status.TIMEOUT)
-        phases, resume = stack.pop()
-        nodes += 1
-        relu_modes, bm = sbt(net, box) if resume is None else sbt(net, box, phases, resume)
+        batch = stack[: -BATCH - 1 : -1]
+        del stack[-BATCH:]
+        nodes += len(batch)
+        phases = tuple(np.stack(layer) for layer in zip(*batch))
+        relu_modes, bm = sbt(net, box, phases)
 
-        conflict = resume is not None and any(
-            np.any((ph == ACTIVE) & (phi < 0)) or np.any((ph == INACTIVE) & (plo > 0))
-            for ph, (plo, phi) in zip(phases[resume[0] + 1 :], bm.pre[resume[0] + 1 :])
-        )
-        if conflict:
-            if check_prunes:
-                _assert_no_sat_leaf(net, box, phases, c)
-            continue
+        closed = bm.post[-1][1][:, 0] <= c
+        for ph, (plo, phi) in zip(phases, bm.pre):
+            closed |= np.any(((ph == ACTIVE) & (phi < 0)) | ((ph == INACTIVE) & (plo > 0)), axis=1)
+        branches = _widest_unknown(relu_modes, bm)
 
-        lo_out, hi_out = bm.output_interval
-        if hi_out <= c:
-            if check_prunes:
-                _assert_no_sat_leaf(net, box, phases, c)
-            continue
-        if resume is None and lo_out >= c + EPSILON:
-            # Every box point is a witness when the sound lower bound clears c.
-            mid = box.midpoint()
-            if is_witness(net, mid, c):
-                return verdict(Status.SAT, mid)
-
-        branch = _widest_unknown(relu_modes, bm)
-        if branch is None:
-            x = _solve_leaf(net, box, relu_modes, phases, c)
-            if x is not None:
-                return verdict(Status.SAT, x)
-            continue
-        if resume is None:
-            x = _falsify(net, box, c)
-            if x is not None:
-                return verdict(Status.SAT, x, sampled=True)
-        k, i = branch
-        W, b = net.layers[k].weights, net.layers[k].biases
-        twins = np.flatnonzero((W == W[i]).all(axis=1) & (b == b[i]))
-        state = (k, relu_modes, bm)
-        for val in (INACTIVE, ACTIVE):  # pushed inactive first; active explored first
-            ph = phases[k].copy()
-            ph[twins] = val
-            stack.append((phases[:k] + (ph,) + phases[k + 1 :], state))
+        pushed = []
+        for n, node in enumerate(batch):
+            if closed[n]:
+                if check_prunes:
+                    _assert_no_sat_leaf(net, box, node, c)
+            elif branches[n] >= 0:
+                pushed += children(node, int(branches[n]))
+            else:
+                if timed_out():
+                    return verdict(Status.TIMEOUT)
+                x = _solve_leaf(net, box, tuple(mode[n] for mode in relu_modes), node, c)
+                if x is not None:
+                    return verdict(Status.SAT, x)
+        stack += reversed(pushed)
 
     return verdict(Status.UNSAT)

@@ -256,6 +256,56 @@ def test_sbt_step_matches_loop_reference_byte_for_byte():
     assert kinds == {"contradict", "all-inactive"}
 
 
+def test_batched_sbt_equals_one_node_sbt_byte_for_byte():
+    # Phases with a leading node axis, one (K, n_k) array per hidden layer,
+    # give every node the arrays of a one-node call on its own phases,
+    # compared with tobytes(), for K = 1 and K > 1, on random networks and
+    # their split networks with random forced phases, phases that
+    # contradict the interval, and all-inactive and all-active layers.
+    # Arrays that no phase reaches (layer 0's pre-activations) have no node
+    # axis and are shared by every node.
+    rng = np.random.default_rng(49)
+    kinds, sizes = set(), set()
+    for _ in range(60):
+        base = random_network(rng, n_layers=int(rng.integers(1, 5)))
+        box = random_box(rng, base.input_size)
+        for net in (base, preprocess(base).network):
+            free_bm = sbt(net, box)[1]
+            K = int(rng.choice([1, 2, 7, 64]))
+            nodes = []
+            for _ in range(K):
+                kind = str(rng.choice(["random", "contradict", "all-inactive", "all-active"]))
+                node = []
+                for (plo, phi), m in zip(free_bm.pre, net.hidden_sizes):
+                    ph = np.where(rng.random(m) < 0.3, rng.choice([-1, 1], size=m), 0)
+                    if kind == "contradict":
+                        ph = np.where(phi < 0.0, 1, np.where(plo > 0.0, -1, ph))
+                    elif kind != "random" and rng.random() < 0.5:
+                        ph[:] = -1 if kind == "all-inactive" else 1
+                    node.append(ph.astype(np.int8))
+                if kind == "contradict" and any(np.any(p != 0) for p in node):
+                    kinds.add(kind)
+                for fill in (-1, 1):
+                    if any(np.all(p == fill) for p in node):
+                        kinds.add(fill)
+                nodes.append(tuple(node))
+            modes, bm = sbt(net, box, tuple(np.stack(layer) for layer in zip(*nodes)))
+            batched = _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr)
+            for n, node in enumerate(nodes):
+                one = sbt(net, box, node)
+                arrays = [*one[0], *(a for pair in one[1].pre + one[1].post for a in pair)]
+                arrays += [a for e in one[1].pre_expr for a in e]
+                assert len(arrays) == len(batched)
+                for a, (dtype, shape, raw) in zip(arrays, batched):
+                    assert dtype == a.dtype.str and shape in (a.shape, (K, *a.shape))
+                    if shape == a.shape:
+                        assert raw == a.tobytes()
+                    else:
+                        assert np.frombuffer(raw, a.dtype).reshape(shape)[n].tobytes() == a.tobytes()
+            sizes.add(K > 1)
+    assert kinds == {"contradict", -1, 1} and sizes == {False, True}
+
+
 def test_layer_weight_parts_are_cached_and_read_only():
     rng = np.random.default_rng(47)
     layer = random_network(rng).layers[0]

@@ -197,8 +197,9 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
     # in full, once, for the gap.  Each later one shares layers 0..L-1 with
     # the network it was split from at layer L, and its root bound resumes
     # from that one's, so it takes one affine step per layer from L on.
-    # ``solve``'s root reuses the bound and takes no affine step; its child
-    # nodes resume past their branch layers.
+    # ``solve``'s root, its one ``sbt`` call without phases, reuses the
+    # bound and takes no affine step; its child nodes are bounded in
+    # batches, with phases, from the input.
     rng = np.random.default_rng(9)
     q = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
     solved, root_steps = [], []
@@ -213,7 +214,7 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
     def recording_sbt(net, box, phases=None, resume=None):
         before = len(affine_steps)
         result = real_sbt(net, box, phases, resume)
-        if resume is None:
+        if phases is None:
             root_steps.append(len(affine_steps) - before)
         return result
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from reluverify.bounds import BoundsMap
 from reluverify.solver import EPSILON, _leaf_rows, _widest_unknown
 
 from conftest import (
+    forward_batch,
     oracle_queries_and_split_twins,
     oracle_verdict,
     random_network,
@@ -268,59 +271,62 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
 
 def _loop_widest_unknown(relu_modes, bm):
     """Per-neuron reference for ``_widest_unknown``: the first strictly
-    widest unknown neuron, in layer order, then index order."""
-    branch, widest = None, -np.inf
+    widest unknown neuron, in layer order, then index order, as an index
+    into the hidden neurons in layer order, or -1."""
+    branch, widest, offset = -1, -np.inf, 0
     for k, mode in enumerate(relu_modes):
         plo, phi = bm.pre[k]
         for i in np.flatnonzero(mode == 0):
             width = phi[i] - plo[i]
             if width > widest:
-                widest, branch = width, (k, int(i))
+                widest, branch = width, offset + int(i)
+        offset += mode.size
     return branch
 
 
 def test_widest_unknown_matches_loop_reference():
     # Widths drawn from a few values make exact ties common; a share of the
     # nodes has no unknown neuron, and some have no hidden layer at all.
+    # Each draw is a batch of K nodes with (K, n_k) modes and intervals,
+    # except layer 0's intervals, which are shared as in a batched ``sbt``;
+    # every node's index must be the reference's, batched and alone.
     rng = np.random.default_rng(75)
     ties = nones = 0
     for _ in range(400):
         sizes = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(0, 4)))]
+        K = int(rng.integers(1, 5))
         p_unknown = rng.choice([0.0, 0.2, 0.6])
         modes, pre = [], []
-        for m in sizes:
-            modes.append(np.where(rng.random(m) < p_unknown, 0, rng.choice([-1, 1], size=m)).astype(np.int8))
-            plo = rng.choice([-1.0, -0.5, -0.25], size=m)
-            pre.append((plo, plo + rng.choice([0.5, 1.0, 1.5], size=m)))
-        layers = tuple(pre) + ((np.zeros(1), np.ones(1)),)
-        bm = BoundsMap(layers, layers)
-        expected = _loop_widest_unknown(tuple(modes), bm)
-        assert _widest_unknown(tuple(modes), bm) == expected
-        if expected is None:
-            nones += 1
-        else:
-            k, i = expected
-            widths = [phi[mode == 0] - plo[mode == 0] for mode, (plo, phi) in zip(modes, pre)]
-            ties += int(np.sum(np.concatenate(widths) == pre[k][1][i] - pre[k][0][i]) > 1)
+        for k, m in enumerate(sizes):
+            shape = (m,) if k == 0 else (K, m)
+            modes.append(np.where(rng.random((K, m)) < p_unknown, 0, rng.choice([-1, 1], size=(K, m))).astype(np.int8))
+            plo = rng.choice([-1.0, -0.5, -0.25], size=shape)
+            pre.append((plo, plo + rng.choice([0.5, 1.0, 1.5], size=shape)))
+        batched = _widest_unknown(tuple(modes), BoundsMap(tuple(pre), tuple(pre)))
+        for n in range(K):
+            node_modes = tuple(mode[n] for mode in modes)
+            node_pre = tuple((plo, phi) if k == 0 else (plo[n], phi[n]) for k, (plo, phi) in enumerate(pre))
+            node_pre += ((np.zeros(1), np.ones(1)),)
+            bm = BoundsMap(node_pre, node_pre)
+            expected = _loop_widest_unknown(node_modes, bm)
+            assert _widest_unknown(node_modes, bm) == expected
+            if sizes:
+                assert batched.shape == (K,) and batched[n] == expected
+            if expected < 0:
+                nones += 1
+            else:
+                widths = np.concatenate([phi - plo for plo, phi in node_pre[:-1]])
+                unknown = np.concatenate(node_modes) == 0
+                ties += int(np.sum(widths[unknown] == widths[expected]) > 1)
     assert ties > 50 and nones > 50
 
 
-def _resume_calls(monkeypatch, resume: bool) -> list:
-    """Wrap ``solver.sbt``: record whether each call resumes, and with
-    ``resume=False`` drop the resume state so every node bounds from scratch."""
-    real, calls = solver.sbt, []
-
-    def wrapper(net, box, phases=None, state=None):
-        calls.append(state is not None)
-        return real(net, box, phases, state if resume else None)
-
-    monkeypatch.setattr(solver, "sbt", wrapper)
-    return calls
-
-
-def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
-    # Resuming node bounds from the parent gives the same bounds, so the
-    # whole search is the same: verdicts, node counts and witnesses.
+def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
+    # A node's bound depends only on its phases, and a batched ``sbt`` call
+    # gives every node the arrays of a one-node call, so ``BATCH = 1`` must
+    # reach the same verdicts, and on every UNSAT query the same node count,
+    # on the oracle-small queries, their split networks and seeded
+    # 2-hidden-layer networks.
     queries = oracle_queries_and_split_twins(tmp_path)
     rng = np.random.default_rng(76)
     for _ in range(20):
@@ -330,55 +336,55 @@ def test_resumed_search_equals_from_scratch_search(tmp_path, monkeypatch):
             Layer(rng.uniform(-1.0, 1.0, size=(sizes[k], sizes[k - 1])), rng.uniform(-0.5, 0.5, size=sizes[k]), k < 3)
             for k in range(1, 4)
         ]
-        queries.append(random_query(rng, net=Network(layers, n_in)))
+        q = random_query(rng, net=Network(layers, n_in))
+        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
 
-    runs = {}
-    for resume in (True, False):
-        with monkeypatch.context() as m:
-            calls = _resume_calls(m, resume)
-            runs[resume] = [solve(q, timeout=60.0) for q in queries]
-        resumed = sum(calls)
-        assert resumed > 1000 and resumed == len(calls) - len(queries)
-    for v, w in zip(runs[True], runs[False]):
+    real, batched = solver.sbt, []
+
+    def counting(net, box, phases=None, resume=None):
+        if phases is not None:
+            batched.append(len(phases[0]))
+        return real(net, box, phases, resume)
+
+    monkeypatch.setattr(solver, "sbt", counting)
+    runs = [solve(q, timeout=60.0) for q in queries]
+    assert sum(batched) > 1000 and max(batched) == solver.BATCH
+    monkeypatch.setattr(solver, "BATCH", 1)
+    unsat = 0
+    for q, v in zip(queries, runs):
+        w = solve(q, timeout=60.0)
         assert v.status is w.status and v.status is not Status.TIMEOUT
-        assert v.nodes == w.nodes
-        assert (v.witness is None) == (w.witness is None)
-        if v.witness is not None:
-            assert v.witness.tobytes() == w.witness.tobytes()
-    assert any(v.status is Status.SAT for v in runs[True])
+        if v.status is Status.UNSAT:
+            unsat += 1
+            assert v.nodes == w.nodes
+    assert unsat > 20 and any(v.status is Status.SAT for v in runs)
 
 
-def test_resumed_node_never_conflicts_at_its_branch_layer(tmp_path, monkeypatch):
-    # solve checks a resumed node for phase conflicts only above its branch
-    # layer k: layer k keeps the parent's bounds, and its only changed
-    # phases are the branched twin class, unknown in the parent.  Count the
-    # conflicts at layer k and above it over the oracle-small queries,
-    # their split networks and seeded 2-hidden-layer networks.
-    real, counts = solver.sbt, {"resumed": 0, "at_k": 0, "above_k": 0}
+def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
+    # A fake clock advances one second per leaf LP.  The limit is checked
+    # before every leaf of a batch, so no leaf starts at or past it, and
+    # the query times out inside its one batch of 8 leaves.
+    rng = np.random.default_rng(2)
+    net = random_network(rng, n_inputs=2, n_layers=1, max_width=8)
+    box = InputBox([-1.0, -1.0], [1.0, 1.0])
+    c = float(forward_batch(net, rng.uniform(-1.0, 1.0, size=(20000, 2)))[:, 0].max()) + 0.05
+    q = Query(net, box, OutputProperty(c))
+    now, starts = [0.0], []
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    real = solver._solve_leaf
 
-    def conflicts(ph, plo, phi) -> bool:
-        return bool(np.any((ph == 1) & (phi < 0)) or np.any((ph == -1) & (plo > 0)))
+    def timed_leaf(*args):
+        starts.append(now[0])
+        now[0] += 1.0
+        return real(*args)
 
-    def checking(net, box, phases=None, resume=None):
-        modes, bm = real(net, box, phases, resume)
-        if resume is not None:
-            k = resume[0]
-            counts["resumed"] += 1
-            counts["at_k"] += conflicts(phases[k], *bm.pre[k])
-            counts["above_k"] += any(conflicts(ph, *iv) for ph, iv in zip(phases[k + 1 :], bm.pre[k + 1 :]))
-        return modes, bm
-
-    monkeypatch.setattr(solver, "sbt", checking)
-    queries = oracle_queries_and_split_twins(tmp_path)
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        net = random_network(rng, n_layers=2, max_width=8)
-        q = random_query(rng, net=net)
-        queries += [q, Query(preprocess(net).network, q.input, q.output)]
-    for q in queries:
-        solve(q, timeout=60.0)
-    assert counts["resumed"] > 1000 and counts["above_k"] > 0
-    assert counts["at_k"] == 0
+    monkeypatch.setattr(solver, "_solve_leaf", timed_leaf)
+    assert solve(q).status is Status.UNSAT and len(starts) == 8
+    starts.clear()
+    now[0] = 0.0
+    v = solve(q, timeout=3.5)
+    assert v.status is Status.TIMEOUT
+    assert starts == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_solve_rejects_a_nan_timeout(query121):
