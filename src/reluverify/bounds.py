@@ -30,28 +30,22 @@ operation is elementwise.  The affine step therefore multiplies the
 constant vectors as one-column matrices, ``(W @ v[..., None])[..., 0]``.
 Layer 0's pre-activations, which no phase reaches, stay shared.
 
-``sbt`` can also resume from an earlier result at layer k: it reuses
-layers 0..k-1 and layer k's pre-activations, and reruns the same steps
-from layer k's ReLU step on, which gives the same arrays as a run from the
-input.  The earlier result may come from another network whose layers
-0..k are this one's own ``Layer`` objects, bounded with the same phases:
-``refine_split`` changes only layers L and L+1 of an abstract network, so
-``loop.verify`` bounds the new one by resuming at L-1 from the root result
-of the one it was split from.  That is the only caller that resumes.
-
-A root call, one with neither phases nor ``resume``, is a pure function of
-a ``Network`` and an ``InputBox``, both frozen with read-only arrays.
-``sbt`` keeps every result computed without phases, resumed or not, in
-``_ROOTS``, keyed weakly by the network together with the box, and answers
-a root call on the same network and the same box object (``is``) from
-there.  Identity keys are sound because neither object can change, and
-they cost no array comparison.  An entry holds the network's latest box
-only, and it dies with its network.  ``loop.verify`` bounds with a box of
-its own per call, so a kept result serves only the call that made it:
-``cegarette`` bounds the unchanged original once per call, and ``solve``'s
-root reuses the abstract bound that the loop or ``output_gap`` has just
-computed, while a repeated call on the same ``Query`` bounds afresh.
-Sharing is safe because no code changes an ``sbt`` result in place.
+A call without phases keeps each layer's result in ``_KEPT``, keyed weakly
+by the ``Layer``, and reuses a layer's kept result when it was computed
+over the same box object (``is``) right after the kept result this call
+has just used for the previous layer (``is``).  Otherwise it computes the
+layer and keeps it.  A layer's arrays depend only on the box and on the
+layers before it, and ``Layer`` and ``InputBox`` are frozen with read-only
+arrays, so identity keys are sound and cost no array comparison; the chain
+check stops a layer that two networks share behind different earlier
+layers from being reused.  Calls with phases neither read nor write
+``_KEPT``.  So ``cegarette`` bounds the unchanged original once per call,
+``solve``'s root reuses the abstract bound that the gap has just computed,
+and a network that ``refine_split`` made from one split at layer L, which
+shares layers 0..L-1 with the network it came from, is bounded from layer
+L on.  ``loop.verify`` bounds with a box of its own per call, so a repeated
+call on the same ``Query`` bounds afresh.  Sharing is safe because no code
+changes an ``sbt`` result in place.
 
 If original(x) + d <= abstract(x) on the box, then checking the abstract
 network against ``y > c + d`` over-approximates checking the original
@@ -68,19 +62,16 @@ import numpy as np
 
 from .network import InputBox, Network, OutputProperty
 
+ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0  # a ReLU's phase or mode
+
 
 @dataclass(frozen=True, eq=False)
 class BoundsMap:
-    """Per-layer [lo, hi] arrays for pre- and post-activation values.
-
-    ``sbt`` also keeps each layer's pre-activation expressions in
-    ``pre_expr``, so that a later call can resume from them; ``ibp`` leaves
-    it empty.  ``output_interval`` reads a one-node map.
-    """
+    """Per-layer [lo, hi] arrays for pre- and post-activation values;
+    ``output_interval`` reads a one-node map."""
 
     pre: tuple[tuple[np.ndarray, np.ndarray], ...]
     post: tuple[tuple[np.ndarray, np.ndarray], ...]
-    pre_expr: tuple[tuple[np.ndarray, ...], ...] = ()
 
     @property
     def output_interval(self) -> tuple[float, float]:
@@ -115,7 +106,9 @@ def ibp(net: Network, box: InputBox) -> BoundsMap:
     return BoundsMap(tuple(pre), tuple(post))
 
 
-_ROOTS = weakref.WeakKeyDictionary()  # network -> (box, its root ``sbt`` result)
+# Layer -> (box, the previous layer's entry, mode, post-activation
+# expressions, pre- and post-activation intervals) of a call without phases.
+_KEPT = weakref.WeakKeyDictionary()
 
 
 def _concrete_lo(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarray:
@@ -138,7 +131,7 @@ def _pre_step(layer, post, box: InputBox):
     return (pLc, pLk, pUc, pUk), (_concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box))
 
 
-def _relu_step(pre, interval, fixed, box: InputBox):
+def _relu_step(pre, interval, fixed):
     """ReLU step: each neuron's mode, where a nonzero ``fixed`` phase
     overrides the one the interval gives, then the post-activation
     expressions and their intervals.  An active neuron passes its
@@ -148,30 +141,25 @@ def _relu_step(pre, interval, fixed, box: InputBox):
     pLc, pLk, pUc, pUk = pre
     plo, phi = interval
     mode = np.zeros(plo.shape, dtype=np.int8)
-    mode[plo >= 0.0] = 1
-    mode[phi <= 0.0] = -1
+    mode[plo >= 0.0] = ACTIVE
+    mode[phi <= 0.0] = INACTIVE
     if fixed is not None:
-        mode = np.where(fixed != 0, fixed, mode).astype(np.int8)
-    active = mode == 1
+        mode = np.where(fixed != UNKNOWN, fixed, mode).astype(np.int8)
+    active = mode == ACTIVE
     rows = active[..., None]
     post = (
         np.where(rows, pLc, 0.0),
         np.where(active, pLk, 0.0),
         np.where(rows, pUc, 0.0),
-        np.where(active, pUk, np.where(mode == 0, phi, 0.0)),
+        np.where(active, pUk, np.where(mode == UNKNOWN, phi, 0.0)),
     )
     # Post-ReLU values are non-negative wherever the phases hold.
     qlo = np.where(active, np.maximum(plo, 0.0), 0.0)
-    qhi = np.where(mode == -1, 0.0, np.maximum(phi, 0.0))
+    qhi = np.where(mode == INACTIVE, 0.0, np.maximum(phi, 0.0))
     return mode, post, (qlo, qhi)
 
 
-def sbt(
-    net: Network,
-    box: InputBox,
-    phases=None,
-    resume: tuple[int, tuple[np.ndarray, ...], BoundsMap] | None = None,
-) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
+def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
     """Symbolic bound tightening; returns (relu_modes, concrete bounds).
 
     ``relu_modes`` records how each hidden neuron was resolved: +1
@@ -180,50 +168,33 @@ def sbt(
 
     ``phases`` holds one int8 array per hidden layer, ``(n_k,)`` for one
     node or ``(K, n_k)`` for K nodes; the module docstring says what a
-    batch returns.
-
-    ``resume=(k, modes, bm)`` continues from a parent's result ``(modes,
-    bm)`` of this function over the same box, whose phases equal ``phases``
-    outside layer k: layers 0..k-1 and layer k's pre-activations are taken
-    from it, and the rest is computed as a call without ``resume`` would,
-    so the result is the same.  The parent is this network or one that
-    shares its ``Layer`` objects 0..k.
-
-    A root call (no ``phases``, no ``resume``) may be answered from
-    ``_ROOTS``, and a call without ``phases`` is kept there; the module
-    docstring says when.
+    batch returns, and when a call without ``phases`` reuses kept layers.
     """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
-    if phases is None and resume is None:
-        kept = _ROOTS.get(net)
-        if kept is not None and kept[0] is box:
-            return kept[1]
-    if resume is None:
-        k, modes, pre_expr, pre_iv, post_iv = 0, [], [], [], []
-        eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
-        post = (eye, zero, eye, zero)
-    else:
-        k, parent_modes, parent = resume
-        modes, post_iv = list(parent_modes[:k]), list(parent.post[:k])
-        pre_expr, pre_iv = list(parent.pre_expr[: k + 1]), list(parent.pre[: k + 1])
-    for j in range(k, len(net.layers)):
-        layer = net.layers[j]
-        if j == len(pre_iv):  # false only for a resumed layer k
-            expr, iv = _pre_step(layer, post, box)
-            pre_expr.append(expr)
-            pre_iv.append(iv)
+    modes, pre_iv, post_iv = [], [], []
+    entry = None
+    for j, layer in enumerate(net.layers):
+        prev, entry = entry, (None if phases is not None else _KEPT.get(layer))
+        if entry is None or entry[0] is not box or entry[1] is not prev:
+            if prev is None:
+                eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
+                post = (eye, zero, eye, zero)
+            else:
+                post = prev[3]
+            pre, iv = _pre_step(layer, post, box)
+            if layer.relu:
+                mode, post, qiv = _relu_step(pre, iv, None if phases is None else phases[j])
+            else:
+                mode, post, qiv = None, pre, iv
+            entry = (box, prev, mode, post, iv, qiv)
+            if phases is None:
+                _KEPT[layer] = entry
         if layer.relu:
-            fixed = None if phases is None else phases[j]
-            mode, post, iv = _relu_step(pre_expr[j], pre_iv[j], fixed, box)
-            modes.append(mode)
-        else:
-            post, iv = pre_expr[j], pre_iv[j]
-        post_iv.append(iv)
-    result = tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv), tuple(pre_expr))
-    if phases is None:
-        _ROOTS[net] = (box, result)
-    return result
+            modes.append(entry[2])
+        pre_iv.append(entry[4])
+        post_iv.append(entry[5])
+    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv))
 
 
 def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:

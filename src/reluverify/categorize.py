@@ -31,17 +31,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CategorizedNetwork:
-    """A split network plus, per hidden layer, each copy's category and origin.
+    """A split network plus, per hidden layer, each copy's category.
 
-    ``categories[k][j]`` / ``origins[k][j]`` describe neuron ``j`` of hidden
-    layer ``k``: its category code (an int8 index into ``CATEGORY_NAMES``)
-    and the neuron of the source network's same layer it was copied from.
-    Both are read-only arrays.
+    ``categories[k][j]`` is the category code of neuron ``j`` of hidden
+    layer ``k``, an int8 index into ``CATEGORY_NAMES``, in a read-only array.
     """
 
     network: Network
     categories: tuple[np.ndarray, ...]
-    origins: tuple[np.ndarray, ...]
 
     @cached_property
     def increasing(self) -> tuple[np.ndarray, ...]:
@@ -80,7 +77,6 @@ def preprocess(net: Network) -> CategorizedNetwork:
     new_biases = [layer.biases for layer in net.layers]
     target_dec = np.zeros(1, dtype=np.int8)  # the single output neuron is inc
     categories: list[np.ndarray] = [None] * (n - 1)
-    origins: list[np.ndarray] = [None] * (n - 1)
 
     for k in range(n - 2, -1, -1):
         W = new_weights[k + 1]  # rows: processed layer k+1, cols: original layer k
@@ -96,7 +92,6 @@ def preprocess(net: Network) -> CategorizedNetwork:
         new_biases[k] = net.layers[k].biases[origin]
         target_dec = cats & 1
         categories[k] = _read_only(cats)
-        origins[k] = _read_only(origin)
 
     layers = [
         Layer(new_weights[k], new_biases[k], relu=k < n - 1) for k in range(n)
@@ -104,7 +99,6 @@ def preprocess(net: Network) -> CategorizedNetwork:
     return CategorizedNetwork(
         network=Network(layers, net.input_size, domain=net.domain),
         categories=tuple(categories),
-        origins=tuple(origins),
     )
 
 

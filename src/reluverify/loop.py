@@ -10,12 +10,11 @@ by the certified output gap of each new abstract network.  All
 three agree on verdicts outside the granularity band ``(c, c + EPSILON)``
 (see ``solver``); they differ in how much work the backend solver sees.
 
-Each network is bounded once per call: ``bounds.sbt`` keeps its root
-results for the box ``verify`` builds, so ``cegarette`` bounds the
-original once, and ``solve``'s root reuses the abstract network's bound
-from the gap.  A split at layer L leaves layers 0..L-1 of the abstract
-network as they were, so the new network's root bound resumes from the
-previous one's at layer L-1 and recomputes only the layers from L on.
+Each layer is bounded once per call: ``bounds.sbt`` keeps every layer's
+phase-free result for the box ``verify`` builds, so ``cegarette`` bounds
+the original once, ``solve``'s root reuses the abstract network's bound
+from the gap, and after a split at layer L, which leaves layers 0..L-1 of
+the abstract network as they were, only the layers from L on are bounded.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .abstraction import abstract_to_saturation, refine_split
-from .bounds import sbt, tighten_property
+from .bounds import tighten_property
 from .categorize import preprocess
 from .network import Query
 from .solver import Status, Verdict, is_witness, solve
@@ -69,7 +68,7 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
     if timeout is not None and math.isnan(timeout):
         raise ValueError("timeout is NaN")
     # A box object of this call's own, over the same read-only arrays, keys
-    # ``bounds.sbt``'s kept root results to this call: a repeated call on
+    # ``bounds.sbt``'s kept layer results to this call: a repeated call on
     # the same ``Query`` bounds afresh.
     box = copy.copy(q.input)
     stats = RunStats(mode=mode)
@@ -116,10 +115,7 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
         # never gets past it to refine.
         if is_genuine(q, x0):
             return finish(Status.SAT, x0, v.sampled)
-        parent, state = network, refine_split(state, x0)
+        state = refine_split(state, x0)
         network = state.network
-        L = state.split[0]
-        if L > 0:
-            sbt(network, box, None, (L - 1, *sbt(parent, box)))
         stats.splits.append(state.split)
         stats.refinement_steps += 1

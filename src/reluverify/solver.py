@@ -25,30 +25,29 @@ have the same pre-activation at every input, so a mixed-phase region is
 empty except where that pre-activation is 0, and there both phases give 0.
 Networks without twins branch on one neuron at a time.
 
-The root is bounded by a root ``sbt`` call, without phases: its phases
-are all unknown, which gives the same arrays, and the call can reuse the
-result ``bounds`` keeps for the query's network and box, such as the
-abstract bound of ``cegarette``'s gap or the one ``loop.verify`` resumes
-from the previous abstract network after a split.  A root that decides,
-or that is a leaf, is all the work a query does.
+The root is bounded by an ``sbt`` call without phases: its phases are
+all unknown, which gives the same arrays, and the call reuses every layer
+``bounds`` keeps for the query's box, such as the abstract bound of
+``cegarette``'s gap, or the layers below a split that the network shares
+with the one it was split from.  A root that decides, or that is a leaf,
+is all the work a query does.
 
 The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
-``sbt`` call, whose phases carry a leading node axis.  The phase-conflict
-check, the prune and the branch choice then run over the whole batch at
-once, and each leaf still gets its own LP, with the time limit checked
-before every one.  Each node is bounded from the input.  That gives the
-arrays a bound resumed from its parent would: ``sbt`` gives every node of
-a batch the arrays of a one-node call on its phases, and a resumed call
-gives the arrays of a call from the input.  A node's bound therefore
-depends only on its phases, so the same node is closed, branched the same
-way or sent to the same LP whatever batch it is in, and an UNSAT search
-visits the same tree as a one-node search.  A SAT search may stop at
-another leaf, because a batch runs its leaves' LPs before the children of
-its other nodes.  The conflict check covers every layer.  At a child's
-branch layer and below it, that check finds nothing: those layers'
-pre-activation bounds are the parent's, which passed, and the branched
-twin class was unknown in the parent (``plo < 0 < phi``).
+``sbt`` call, whose phases carry a leading node axis.  The
+phase-conflict check, the prune and the branch choice then run over the
+whole batch at once, and each leaf still gets its own LP, with the time
+limit checked before every one.  Each node is bounded from the input:
+``sbt`` gives every node of a batch the arrays of a one-node call on its
+phases.  A node's bound therefore depends only on its phases, so the
+same node is closed, branched the same way or sent to the same LP
+whatever batch it is in, and an UNSAT search visits the same tree as a
+one-node search.  A SAT search may stop at another leaf, because a batch
+runs its leaves' LPs before the children of its other nodes.  The
+conflict check covers every layer.  At a child's branch layer and below
+it, that check finds nothing: those layers' pre-activation bounds are
+the parent's, which passed, and the branched twin class was unknown in
+the parent (``plo < 0 < phi``).
 
 The branch neuron is the unknown one with the widest pre-activation
 interval, the first in layer order, then in index order, on ties.  Its
@@ -63,14 +62,15 @@ has neither pruned nor given a midpoint witness, and only if the root is
 not a leaf, which is one LP already.  One numpy batch, the box midpoint
 and ``FALSIFY_SAMPLES`` uniform box points from a fixed seed, takes
 ``FALSIFY_STEPS`` signed-gradient steps clipped to the box.  A point
-counts only if it reaches ``c + EPSILON`` and passes ``is_witness``.  That
-is the leaf LP's reach rule, so when the maximum lies in the granularity
-band ``(c, c + EPSILON)`` the falsifier finds nothing and ``direct`` keeps
-its UNSAT answer.  After a miss the search runs as without the falsifier,
-and UNSAT still comes only from that complete search, so soundness and
-completeness are unchanged.  The two counts are constants, not options,
-and the fixed seed keeps verdicts and witnesses deterministic.
-``Verdict.sampled`` says whether the witness came from the falsifier.
+counts only if its exact output reaches ``c + EPSILON``, which implies
+``is_witness``.  That is the leaf LP's reach rule, so when the maximum
+lies in the granularity band ``(c, c + EPSILON)`` the falsifier finds
+nothing and ``direct`` keeps its UNSAT answer.  After a miss the search
+runs as without the falsifier, and UNSAT still comes only from that
+complete search, so soundness and completeness are unchanged.  The two
+counts are constants, not options, and the fixed seed keeps verdicts and
+witnesses deterministic.  ``Verdict.sampled`` says whether the witness
+came from the falsifier.
 
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
@@ -80,8 +80,9 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
   checked by concrete forward evaluation (``is_witness``).  The refinement
   loops accept counterexamples on the original network by the same rule.
 * ``RETRY_TOLERANCES`` are the tighter simplex pivot and feasibility
-  tolerances for re-solving a leaf whose first run failed numerically or
-  returned a marginal point; the first run uses the simplex defaults.
+  tolerances for re-solving a leaf, once, whose first run failed
+  numerically or returned a marginal point; the first run uses the simplex
+  defaults.
 
 The simplex's bound-propagation presolve (at most
 ``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
@@ -98,11 +99,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import sbt
+from .bounds import ACTIVE, INACTIVE, UNKNOWN, sbt
 from .network import InputBox, Network, Query, evaluate
 from .simplex import SimplexError, feasible_point
-
-ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0
 
 EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
@@ -200,11 +199,17 @@ def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
     The LP has rows only for the branch-fixed neurons (nonzero ``phases``)
     and the output; the module docstring says why that is exact."""
     A, b = _leaf_rows(net, modes, phases, threshold + EPSILON)
-    x = _feasible(A, b, box)
-    if x is None or is_witness(net, x, threshold):
-        return x
-    # Marginal LP answer; re-solve with tightened pivots before giving up.
-    x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
+    try:
+        x = feasible_point(A, b, box.lower, box.upper)
+    except SimplexError:
+        x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
+        if x is None:
+            return None
+    else:
+        if x is None or is_witness(net, x, threshold):
+            return x
+        # Marginal LP answer; re-solve once with tightened pivots.
+        x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
     if x is not None and is_witness(net, x, threshold):
         return x
     raise SolverError("simplex produced a witness that fails concrete re-evaluation")
@@ -224,7 +229,7 @@ def _falsify(net: Network, box: InputBox, c: float):
     steps clipped to the box.  The step starts at a quarter of the box width
     and halves each time; each point's gradient comes from its own ReLU
     phases.  The best point of the first batch that reaches the target is
-    returned if its exact output also does and ``is_witness`` accepts it.
+    returned if its exact output also does.
     """
     lo, hi = box.lower, box.upper
     rng = np.random.default_rng(0)
@@ -241,7 +246,7 @@ def _falsify(net: Network, box: InputBox, c: float):
         best = int(np.argmax(y))
         if y[best] >= c + EPSILON:
             x = X[best].copy()
-            if evaluate(net, x)[0] >= c + EPSILON and is_witness(net, x, c):
+            if evaluate(net, x)[0] >= c + EPSILON:
                 return x
         if s == FALSIFY_STEPS:
             return None

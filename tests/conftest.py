@@ -68,8 +68,9 @@ def abstraction_states(monkeypatch) -> list:
 @pytest.fixture
 def affine_steps(monkeypatch) -> list:
     """The layer of every SBT affine step, in order: one per layer that a
-    bound computation visits (a resumed call starts past its resume layer,
-    and a batch of nodes takes one step per layer)."""
+    bound computation visits (a call without phases skips the layers it
+    reuses from ``bounds._KEPT``, and a batch of nodes takes one step per
+    layer)."""
     steps = []
     real_step = bounds._pre_step
 

@@ -341,7 +341,7 @@ def test_collapse_and_column_sums_match_loop_references():
 
 def _root_bytes(result):
     modes, bm = result
-    arrays = [*modes, *(a for pair in bm.pre + bm.post for a in pair), *(a for e in bm.pre_expr for a in e)]
+    arrays = [*modes, *(a for pair in bm.pre + bm.post for a in pair)]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -350,8 +350,8 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
     # midpoint (so the kept base values are reused) and half the time by a
     # random point, each split must keep every layer's group order equal to
     # _layer_order of its groups, build its two layers read-only, and give a
-    # network whose root bound, resumed from the parent's at L - 1, equals a
-    # fresh one array for array.
+    # network whose root bound, taken right after the parent's and so
+    # reusing its kept layers 0..L-1, equals a fresh one array for array.
     rng = np.random.default_rng(39)
     seen, reused = set(), 0
     for trial in range(30):
@@ -379,13 +379,13 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
                 Wp, Wn = layer.weight_parts
                 assert np.array_equal(Wp, np.maximum(layer.weights, 0.0))
                 assert np.array_equal(Wn, np.minimum(layer.weights, 0.0))
-            bounds._ROOTS.clear()
+            bounds._KEPT.clear()
             fresh = _root_bytes(sbt(new.network, box))
             if L > 0:
-                bounds._ROOTS.clear()
-                parent = sbt(state.network, box)
-                assert _root_bytes(sbt(new.network, box, None, (L - 1, *parent))) == fresh, trial
-                assert _root_bytes(sbt(new.network, box)) == fresh  # kept, and answers a root call
+                bounds._KEPT.clear()
+                sbt(state.network, box)
+                assert _root_bytes(sbt(new.network, box)) == fresh, trial
+                assert _root_bytes(sbt(new.network, box)) == fresh  # every layer kept now
             seen.add("first" if L == 0 else "last" if L == last else "inner")
             state = new
     assert seen == {"first", "inner", "last"} and reused > 50

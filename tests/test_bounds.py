@@ -9,10 +9,12 @@ from reluverify import (
     Layer,
     Network,
     abstract_to_saturation,
+    bounds,
     evaluate,
     ibp,
     output_gap,
     preprocess,
+    refine_split,
     sbt,
 )
 
@@ -114,44 +116,6 @@ def test_output_gap_pointwise_guarantee():
         assert np.all(orig + d <= abst + 1e-9)
 
 
-def test_sbt_resumed_at_branch_layer_equals_from_scratch():
-    # A solver child changes only the phases of its branch layer k; resuming
-    # from the parent's result must give exactly the arrays of a fresh run.
-    # Each network takes a chain of branches (first, inner and last hidden
-    # layer, in random order), each resuming from the previous result.
-    rng = np.random.default_rng(45)
-    seen = set()
-    for _ in range(40):
-        base = random_network(rng, n_layers=int(rng.integers(1, 5)))
-        box = random_box(rng, base.input_size)
-        for net in (base, preprocess(base).network):
-            n_hidden = len(net.hidden_sizes)
-            phases = tuple(
-                np.where(rng.random(m) < 0.3, rng.choice([-1, 1], size=m), 0).astype(np.int8)
-                for m in net.hidden_sizes
-            )
-            result = sbt(net, box, phases)
-            for k in map(int, rng.permutation(sorted({0, int(rng.integers(0, n_hidden)), n_hidden - 1}))):
-                ph = phases[k].copy()
-                ph[rng.random(ph.size) < 0.5] = rng.choice([-1, 1])
-                phases = phases[:k] + (ph,) + phases[k + 1 :]
-                resumed = sbt(net, box, phases, (k, *result))
-                modes, bm = sbt(net, box, phases)
-                assert len(resumed[0]) == len(modes)
-                assert all(np.array_equal(a, b) for a, b in zip(resumed[0], modes))
-                assert len(resumed[1].pre + resumed[1].post) == len(bm.pre + bm.post)
-                for a, b in zip(resumed[1].pre + resumed[1].post, bm.pre + bm.post):
-                    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-                if k == 0:
-                    seen.add("first")
-                if k == n_hidden - 1:
-                    seen.add("last")
-                if 0 < k < n_hidden - 1:
-                    seen.add("inner")
-                result = resumed
-    assert seen == {"first", "inner", "last"}
-
-
 def _loop_concrete_lo(coef, const, box):
     return np.maximum(coef, 0.0) @ box.lower + np.minimum(coef, 0.0) @ box.upper + const
 
@@ -196,10 +160,9 @@ def _loop_sbt(net, box, phases):
     """From-scratch SBT over the reference steps."""
     eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
     post = (eye, zero, eye, zero)
-    modes, pre_expr, pre_iv, post_iv = [], [], [], []
+    modes, pre_iv, post_iv = [], [], []
     for j, layer in enumerate(net.layers):
         expr, iv = _loop_pre_step(layer, post, box)
-        pre_expr.append(expr)
         pre_iv.append(iv)
         if layer.relu:
             mode, post, iv = _loop_relu_step(expr, iv, phases[j], box)
@@ -207,19 +170,27 @@ def _loop_sbt(net, box, phases):
         else:
             post = expr
         post_iv.append(iv)
-    return modes, pre_iv, post_iv, pre_expr
+    return modes, pre_iv, post_iv
 
 
-def _sbt_bytes(modes, pre, post, pre_expr):
-    arrays = [*modes, *(a for pair in pre + post for a in pair), *(a for e in pre_expr for a in e)]
+def _sbt_bytes(modes, pre, post):
+    arrays = [*modes, *(a for pair in pre + post for a in pair)]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _fresh_bytes(net, box):
+    """The bytes of ``net``'s bound from the input: all-zero phases give
+    the arrays of a call without phases, and read no kept layer."""
+    modes, bm = sbt(net, box, tuple(np.zeros(m, dtype=np.int8) for m in net.hidden_sizes))
+    return _sbt_bytes(modes, bm.pre, bm.post)
 
 
 def test_sbt_step_matches_loop_reference_byte_for_byte():
     # sbt against the reference steps, compared with tobytes() (so even the
     # sign of a zero counts), on random networks and their split networks
     # with random forced phases, phases that contradict the interval,
-    # all-inactive and all-active layers, and calls resumed at a branch layer.
+    # all-inactive and all-active layers, and a child's phases, which
+    # change one layer of them.
     rng = np.random.default_rng(46)
     kinds = set()
     for _ in range(60):
@@ -241,18 +212,18 @@ def test_sbt_step_matches_loop_reference_byte_for_byte():
                 phases = tuple(phases)
                 modes, bm = sbt(net, box, phases)
                 ref = _loop_sbt(net, box, phases)
-                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == _sbt_bytes(*ref)
+                assert _sbt_bytes(modes, bm.pre, bm.post) == _sbt_bytes(*ref)
                 if kind == "contradict" and any(np.any(p != 0) for p in phases):
                     kinds.add(kind)
                 if any(np.all(p == -1) for p in phases):
                     kinds.add("all-inactive")
-                # A child: new phases in one layer, resumed from this result.
+                # A child: new phases in one layer.
                 k = int(rng.integers(0, len(phases)))
                 ph = phases[k].copy()
                 ph[rng.random(ph.size) < 0.5] = rng.choice([-1, 1])
                 child = phases[:k] + (ph,) + phases[k + 1 :]
-                modes, bm = sbt(net, box, child, (k, modes, bm))
-                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == _sbt_bytes(*_loop_sbt(net, box, child))
+                modes, bm = sbt(net, box, child)
+                assert _sbt_bytes(modes, bm.pre, bm.post) == _sbt_bytes(*_loop_sbt(net, box, child))
     assert kinds == {"contradict", "all-inactive"}
 
 
@@ -290,11 +261,10 @@ def test_batched_sbt_equals_one_node_sbt_byte_for_byte():
                         kinds.add(fill)
                 nodes.append(tuple(node))
             modes, bm = sbt(net, box, tuple(np.stack(layer) for layer in zip(*nodes)))
-            batched = _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr)
+            batched = _sbt_bytes(modes, bm.pre, bm.post)
             for n, node in enumerate(nodes):
                 one = sbt(net, box, node)
                 arrays = [*one[0], *(a for pair in one[1].pre + one[1].post for a in pair)]
-                arrays += [a for e in one[1].pre_expr for a in e]
                 assert len(arrays) == len(batched)
                 for a, (dtype, shape, raw) in zip(arrays, batched):
                     assert dtype == a.dtype.str and shape in (a.shape, (K, *a.shape))
@@ -320,11 +290,11 @@ def test_layer_weight_parts_are_cached_and_read_only():
 
 
 def test_root_sbt_is_kept_for_the_same_network_and_box(affine_steps):
-    # A root call (no phases, no resume) is a pure function of two immutable
-    # objects.  Repeating it on the same network and box objects returns the
-    # kept result, which equals a fresh run byte for byte, as does a run
-    # with all-zero phases.  An equal but distinct box, or another box, is
-    # bounded afresh.  Each layer takes one affine step per computation.
+    # A call without phases is a pure function of two immutable objects.
+    # Repeating it on the same network and box objects takes no affine step
+    # and equals the first run byte for byte, as does a run with all-zero
+    # phases.  An equal but distinct box, or another box, is bounded afresh.
+    # Each layer takes one affine step per computation.
     rng = np.random.default_rng(48)
     for _ in range(20):
         base = random_network(rng, n_layers=int(rng.integers(1, 4)))
@@ -332,20 +302,92 @@ def test_root_sbt_is_kept_for_the_same_network_and_box(affine_steps):
         for net in (base, preprocess(base).network):
             n = len(net.layers)
             affine_steps.clear()
-            kept = sbt(net, box)
+            modes, bm = sbt(net, box)
+            expected = _sbt_bytes(modes, bm.pre, bm.post)
             assert len(affine_steps) == n
-            assert sbt(net, box) is kept and len(affine_steps) == n
-            expected = _sbt_bytes(kept[0], kept[1].pre, kept[1].post, kept[1].pre_expr)
-            zero = tuple(np.zeros(m, dtype=np.int8) for m in net.hidden_sizes)
-            for modes, bm in (sbt(net, box, zero), sbt(net, InputBox(box.lower, box.upper))):
-                assert _sbt_bytes(modes, bm.pre, bm.post, bm.pre_expr) == expected
+            modes, bm = sbt(net, box)
+            assert _sbt_bytes(modes, bm.pre, bm.post) == expected and len(affine_steps) == n
+            assert _fresh_bytes(net, box) == expected
+            modes, bm = sbt(net, InputBox(box.lower, box.upper))
+            assert _sbt_bytes(modes, bm.pre, bm.post) == expected
             assert len(affine_steps) == 3 * n
             sbt(net, random_box(rng, net.input_size))
             assert len(affine_steps) == 4 * n
-    # The kept result does not keep its network alive.
+    # The kept layers do not keep their network alive.
     net = random_network(rng)
     sbt(net, random_box(rng, net.input_size))
-    alive = weakref.ref(net)
+    alive = [weakref.ref(obj) for obj in (net, *net.layers)]
     del net
+    affine_steps.clear()  # it holds the layers it recorded
     gc.collect()
-    assert alive() is None
+    assert all(ref() is None for ref in alive)
+
+
+def test_split_network_bound_reuses_the_layers_below_the_split(affine_steps):
+    # Along seeded refine_split chains, each network's bound, taken right
+    # after the bound of the network it was split from at layer L, reuses
+    # that network's kept layers 0..L-1: it takes one affine step per layer
+    # from L on, and equals a bound from the input byte for byte.
+    rng = np.random.default_rng(51)
+    seen = set()
+    for trial in range(30):
+        net = random_network(rng, n_layers=int(rng.integers(1, 5)), max_width=8)
+        nonneg = trial % 4 != 3
+        box = random_box(rng, net.input_size, nonneg=nonneg)
+        state = abstract_to_saturation(preprocess(net), nonneg_inputs=nonneg)
+        last = len(net.layers) - 2
+        sbt(state.network, box)
+        while state.excess > 0:
+            state = refine_split(state, rng.uniform(box.lower, box.upper))
+            L = state.split[0]
+            affine_steps.clear()
+            modes, bm = sbt(state.network, box)
+            assert affine_steps == list(state.network.layers[L:]), trial
+            assert _sbt_bytes(modes, bm.pre, bm.post) == _fresh_bytes(state.network, box), trial
+            seen.add("first" if L == 0 else "last" if L == last else "inner")
+    assert seen == {"first", "inner", "last"}
+
+
+def test_a_shared_layer_behind_another_layer_0_is_bounded_afresh(affine_steps):
+    # Two networks share their later Layer objects behind different layer-0
+    # objects.  A kept layer is reused only right after the kept result of
+    # the layer before it, so each network recomputes the shared layers
+    # after the other has been bounded, and every bound equals one from the
+    # input byte for byte.
+    rng = np.random.default_rng(52)
+    for _ in range(20):
+        net = random_network(rng, n_layers=int(rng.integers(1, 4)))
+        box = random_box(rng, net.input_size)
+        first = net.layers[0]
+        other = Layer(first.weights + rng.uniform(-0.5, 0.5, first.weights.shape), first.biases, relu=True)
+        twin = Network([other, *net.layers[1:]], net.input_size)
+        sbt(net, box)
+        for bounded, steps in ((twin, twin.layers), (net, net.layers[1:])):
+            affine_steps.clear()
+            modes, bm = sbt(bounded, box)
+            assert affine_steps == list(steps)
+            assert _sbt_bytes(modes, bm.pre, bm.post) == _fresh_bytes(bounded, box)
+
+
+def test_calls_with_phases_leave_the_kept_layers_unchanged(affine_steps):
+    # One-node and batched calls neither read nor write ``bounds._KEPT``:
+    # they take one affine step per layer even when every layer is kept for
+    # their box, and they add or replace no entry, also for a network that
+    # has none.
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        net = random_network(rng, n_layers=int(rng.integers(1, 4)))
+        split = preprocess(net).network
+        box = random_box(rng, net.input_size)
+        sbt(net, box)
+        kept = list(bounds._KEPT.items())
+        for bounded in (net, split):
+            for shape in ((), (1,), (7,)):
+                phases = tuple(
+                    rng.integers(-1, 2, size=(*shape, m)).astype(np.int8) for m in bounded.hidden_sizes
+                )
+                affine_steps.clear()
+                sbt(bounded, box, phases)
+                assert affine_steps == list(bounded.layers)
+        assert {id(layer) for layer in bounds._KEPT.keys()} <= {id(layer) for layer, _ in kept}
+        assert all(bounds._KEPT[layer] is entry for layer, entry in kept)

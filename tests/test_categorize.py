@@ -14,7 +14,6 @@ def _names(cat) -> list[list[str]]:
 def test_running_example_single_category(net121):
     cat = preprocess(net121)
     assert _names(cat) == [["pos-inc", "pos-inc"]]
-    assert [o.tolist() for o in cat.origins] == [[0, 1]]
     # Single category per neuron: no duplication, the network is unchanged.
     assert np.array_equal(cat.network.layers[0].weights, net121.layers[0].weights)
     assert np.array_equal(cat.network.layers[1].weights, net121.layers[1].weights)
@@ -81,8 +80,6 @@ def test_random_nets_invariants_and_size_bound():
         for k, layer in enumerate(cat.network.layers[:-1]):
             assert layer.size <= 4 * net.layers[k].size
             assert len(cat.categories[k]) == layer.size
-            assert len(cat.origins[k]) == layer.size
-            assert all(0 <= o < net.layers[k].size for o in cat.origins[k])
 
 
 def test_zero_outgoing_layer_survives():
@@ -108,12 +105,12 @@ def _loop_edge_category(weight: float, target_dir: str) -> str:
 
 
 def _loop_preprocess(net: Network):
-    """The split network, per-layer category names and origins."""
+    """The split network and its per-layer category names."""
     n = len(net.layers)
     new_weights = [layer.weights for layer in net.layers]
     new_biases = [layer.biases for layer in net.layers]
     target_dirs = ["inc"]
-    categories, origins = [()] * (n - 1), [()] * (n - 1)
+    categories = [()] * (n - 1)
     for k in range(n - 2, -1, -1):
         out_W = new_weights[k + 1]
         cols, cats, origin = [], [], []
@@ -134,10 +131,10 @@ def _loop_preprocess(net: Network):
         new_weights[k + 1] = np.column_stack(cols)
         new_weights[k] = net.layers[k].weights[origin, :]
         new_biases[k] = net.layers[k].biases[origin]
-        categories[k], origins[k] = tuple(cats), tuple(origin)
+        categories[k] = tuple(cats)
         target_dirs = [name.split("-")[1] for name in cats]
     layers = [Layer(new_weights[k], new_biases[k], relu=k < n - 1) for k in range(n)]
-    return Network(layers, net.input_size, domain=net.domain), categories, origins
+    return Network(layers, net.input_size, domain=net.domain), categories
 
 
 def _with_zeros(rng, net: Network) -> Network:
@@ -165,15 +162,13 @@ def test_preprocess_matches_loop_reference_byte_for_byte(tmp_path):
     seen = set()
     for i, net in enumerate(nets):
         cat = preprocess(net)
-        ref_net, ref_cats, ref_origins = _loop_preprocess(net)
+        ref_net, ref_cats = _loop_preprocess(net)
         for layer, ref in zip(cat.network.layers, ref_net.layers, strict=True):
             assert layer.weights.shape == ref.weights.shape, i
             assert layer.weights.tobytes() == ref.weights.tobytes(), i
             assert layer.biases.tobytes() == ref.biases.tobytes(), i
-        for codes, origins, names, ref_origin in zip(cat.categories, cat.origins, ref_cats, ref_origins, strict=True):
-            assert codes.dtype == np.int8 and origins.dtype == np.intp, i
-            assert not codes.flags.writeable and not origins.flags.writeable, i
+        for codes, names in zip(cat.categories, ref_cats, strict=True):
+            assert codes.dtype == np.int8 and not codes.flags.writeable, i
             assert codes.tolist() == [_LOOP_ORDER.index(name) for name in names], i
-            assert origins.tolist() == list(ref_origin), i
             seen.update(names)
     assert seen == set(_LOOP_ORDER)

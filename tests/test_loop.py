@@ -195,8 +195,8 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
     # computed once per call, not once per iteration; a second call on the
     # same Query computes it again.  The first abstract network is bounded
     # in full, once, for the gap.  Each later one shares layers 0..L-1 with
-    # the network it was split from at layer L, and its root bound resumes
-    # from that one's, so it takes one affine step per layer from L on.
+    # the network it was split from at layer L, and its root bound reuses
+    # that one's kept layers, so it takes one affine step per layer from L on.
     # ``solve``'s root, its one ``sbt`` call without phases, reuses the
     # bound and takes no affine step; its child nodes are bounded in
     # batches, with phases, from the input.
@@ -211,9 +211,9 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
         solved[-1] += (len(affine_steps),)
         return v
 
-    def recording_sbt(net, box, phases=None, resume=None):
+    def recording_sbt(net, box, phases=None):
         before = len(affine_steps)
-        result = real_sbt(net, box, phases, resume)
+        result = real_sbt(net, box, phases)
         if phases is None:
             root_steps.append(len(affine_steps) - before)
         return result
@@ -254,7 +254,7 @@ def test_splits_name_the_layer_whose_groups_changed(abstraction_states):
 
 
 class _KeepsNothing(dict):
-    """A stand-in for ``bounds._ROOTS`` under which every root is bounded fresh."""
+    """A stand-in for ``bounds._KEPT`` under which every layer is bounded fresh."""
 
     def __setitem__(self, key, value):
         pass
@@ -262,7 +262,7 @@ class _KeepsNothing(dict):
 
 def test_incremental_paths_match_from_scratch_reference(monkeypatch):
     # The reference run rebuilds every state with ``_aggregate`` (no shared
-    # layers, no kept group orders or base values) and bounds every root
+    # layers, no kept group orders or base values) and bounds every network
     # from the input; verdicts, witnesses, node counts, thresholds and
     # splits must be those of the run as shipped.
     rng = np.random.default_rng(85)
@@ -288,14 +288,14 @@ def test_incremental_paths_match_from_scratch_reference(monkeypatch):
         return dataclasses.replace(_make_state(new.base, new.groups), split=new.split)
 
     monkeypatch.setattr(loop, "refine_split", refine_from_scratch)
-    monkeypatch.setattr(bounds, "_ROOTS", _KeepsNothing())
+    monkeypatch.setattr(bounds, "_KEPT", _KeepsNothing())
     assert run() == shipped
     splits = [L for *_, s in shipped for L, _ in s]
     assert sum(L > 0 for L in splits) > 20 and 0 in splits
 
 
 def test_repeated_runs_do_equal_bound_work(affine_steps):
-    # Kept root bounds are scoped to one call: a second pass over the same
+    # Kept layer bounds are scoped to one call: a second pass over the same
     # Query objects bounds as much as the first.
     rng = np.random.default_rng(50)
     queries = [random_query(rng) for _ in range(10)]

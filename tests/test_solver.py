@@ -21,7 +21,8 @@ from reluverify import (
 )
 from reluverify import solver
 from reluverify.bounds import BoundsMap
-from reluverify.solver import EPSILON, _leaf_rows, _widest_unknown
+from reluverify.simplex import SimplexError
+from reluverify.solver import EPSILON, RETRY_TOLERANCES, SolverError, _leaf_rows, _solve_leaf, _widest_unknown
 
 from conftest import (
     forward_batch,
@@ -341,10 +342,10 @@ def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
 
     real, batched = solver.sbt, []
 
-    def counting(net, box, phases=None, resume=None):
+    def counting(net, box, phases=None):
         if phases is not None:
             batched.append(len(phases[0]))
-        return real(net, box, phases, resume)
+        return real(net, box, phases)
 
     monkeypatch.setattr(solver, "sbt", counting)
     runs = [solve(q, timeout=60.0) for q in queries]
@@ -385,6 +386,47 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
     v = solve(q, timeout=3.5)
     assert v.status is Status.TIMEOUT
     assert starts == [0.0, 1.0, 2.0, 3.0]
+
+
+# A fake ``solver.feasible_point`` answers each leaf LP from a script: a
+# numerical failure, a marginal point (feasible for the LP, rejected by
+# ``is_witness``) or a good point.  On 1-2-1 with threshold 700, y = 34 x
+# over [20, 21], so 20 is marginal and 21 is a witness.
+_LEAF_ANSWERS = {"error": SimplexError("stalled"), "marginal": np.array([20.0]), "good": np.array([21.0])}
+
+
+@pytest.mark.parametrize(
+    "script, outcome",
+    [
+        (("error", "good"), "good"),
+        (("marginal", "good"), "good"),
+        (("marginal", "marginal"), SolverError),
+        (("error", "marginal"), SolverError),
+    ],
+    ids=["error-good", "marginal-good", "marginal-marginal", "error-marginal"],
+)
+def test_leaf_lp_is_re_solved_once_with_tighter_tolerances(net121, monkeypatch, script, outcome):
+    # The first run uses the simplex defaults; after a numerical failure or
+    # a marginal point the leaf is re-solved once with RETRY_TOLERANCES, and
+    # a second marginal point is a SolverError, with no third run.
+    calls = []
+
+    def scripted(A, b, lo, hi, **tolerances):
+        calls.append(tolerances)
+        answer = _LEAF_ANSWERS[script[len(calls) - 1]]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(solver, "feasible_point", scripted)
+    modes = (np.array([1, 1], dtype=np.int8),)
+    args = (net121, InputBox([20.0], [21.0]), modes, modes, 700.0)
+    if outcome is SolverError:
+        with pytest.raises(SolverError):
+            _solve_leaf(*args)
+    else:
+        assert _solve_leaf(*args) is _LEAF_ANSWERS[outcome]
+    assert calls == [{}, RETRY_TOLERANCES]
 
 
 def test_solve_rejects_a_nan_timeout(query121):
