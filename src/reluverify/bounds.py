@@ -1,14 +1,17 @@
 """Sound output bounds over an input box by symbolic bound tightening
 (SBT), and the property tightening derived from them.
 
-SBT carries one affine lower and one affine upper expression (over the raw
-inputs) per neuron; stably-active ReLUs pass expressions through,
-stably-inactive ones zero them, and unstable ones fall back to
-[0, concrete upper].  SBT is the one bound the library computes: the
-solver's node bounds, ``output_bounds``, ``output_gap`` and
-``tighten_property`` all use it.  ``ibp`` (concrete intervals pushed
-forward layer by layer) is kept as the reference SBT is checked against:
-SBT's intervals are contained in IBP's on every neuron.
+SBT carries a lower and an upper affine expression (over the raw inputs)
+per neuron.  Stably-active ReLUs pass both through, stably-inactive ones
+zero both, and unstable ones zero both and fall back to [0, concrete
+upper], so the two differ only in their constants and share one
+coefficient matrix per layer: ``(C, lk, uk)``.  A relaxation that gives an
+unstable neuron a slope (the chord) would need a second matrix.  SBT is
+the one bound the library computes: the solver's node bounds,
+``output_bounds``, ``output_gap`` and ``tighten_property`` all use it.
+``ibp`` (concrete intervals pushed forward layer by layer) is kept as the
+reference SBT is checked against: SBT's intervals are contained in IBP's
+on every neuron.
 
 SBT is a loop over one layer step with two parts: the affine step builds
 a layer's pre-activation expressions and intervals, using the signed
@@ -106,29 +109,24 @@ def ibp(net: Network, box: InputBox) -> BoundsMap:
     return BoundsMap(tuple(pre), tuple(post))
 
 
-# Layer -> (box, the previous layer's entry, mode, post-activation
-# expressions, pre- and post-activation intervals) of a call without phases.
+# Layer -> (box, the previous layer's entry, mode, post-activation (C, lk,
+# uk), pre- and post-activation intervals) of a call without phases.
 _KEPT = weakref.WeakKeyDictionary()
 
 
-def _concrete_lo(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarray:
-    return np.maximum(coef, 0.0) @ box.lower + np.minimum(coef, 0.0) @ box.upper + const
-
-
-def _concrete_hi(coef: np.ndarray, const: np.ndarray, box: InputBox) -> np.ndarray:
-    return np.maximum(coef, 0.0) @ box.upper + np.minimum(coef, 0.0) @ box.lower + const
-
-
 def _pre_step(layer, post, box: InputBox):
-    """Affine step: a layer's pre-activation expressions ``(Lc, Lk, Uc, Uk)``
-    (lower and upper coefficients and constants over the raw inputs), built
-    from the previous layer's post-activation ones, and their intervals."""
+    """Affine step: a layer's pre-activation expressions ``(C, lk, uk)``
+    (shared coefficients over the raw inputs, lower and upper constants),
+    built from the previous layer's post-activation ones, and their
+    intervals.  ``C`` is summed as ``Wp @ C + Wn @ C``, not ``W @ C``,
+    which rounds differently."""
     (Wp, Wn), b = layer.weight_parts, layer.biases
-    Lc, Lk, Uc, Uk = post
-    Lk, Uk = Lk[..., None], Uk[..., None]
-    pLc, pLk = Wp @ Lc + Wn @ Uc, (Wp @ Lk + Wn @ Uk)[..., 0] + b
-    pUc, pUk = Wp @ Uc + Wn @ Lc, (Wp @ Uk + Wn @ Lk)[..., 0] + b
-    return (pLc, pLk, pUc, pUk), (_concrete_lo(pLc, pLk, box), _concrete_hi(pUc, pUk, box))
+    C, lk, uk = post
+    lk, uk = lk[..., None], uk[..., None]
+    pC = Wp @ C + Wn @ C
+    plk, puk = (Wp @ lk + Wn @ uk)[..., 0] + b, (Wp @ uk + Wn @ lk)[..., 0] + b
+    Cp, Cn, lo, hi = np.maximum(pC, 0.0), np.minimum(pC, 0.0), box.lower, box.upper
+    return (pC, plk, puk), (Cp @ lo + Cn @ hi + plk, Cp @ hi + Cn @ lo + puk)
 
 
 def _relu_step(pre, interval, fixed):
@@ -136,9 +134,9 @@ def _relu_step(pre, interval, fixed):
     overrides the one the interval gives, then the post-activation
     expressions and their intervals.  An active neuron passes its
     pre-activation expressions and interval through (the interval clamped
-    at 0); the others get the lower expression 0 and the upper expression 0
-    (inactive) or the constant ``phi`` (relaxed)."""
-    pLc, pLk, pUc, pUk = pre
+    at 0); the others get a zero coefficient row, the lower constant 0 and
+    the upper constant 0 (inactive) or ``phi`` (relaxed)."""
+    pC, plk, puk = pre
     plo, phi = interval
     mode = np.zeros(plo.shape, dtype=np.int8)
     mode[plo >= 0.0] = ACTIVE
@@ -146,12 +144,10 @@ def _relu_step(pre, interval, fixed):
     if fixed is not None:
         mode = np.where(fixed != UNKNOWN, fixed, mode).astype(np.int8)
     active = mode == ACTIVE
-    rows = active[..., None]
     post = (
-        np.where(rows, pLc, 0.0),
-        np.where(active, pLk, 0.0),
-        np.where(rows, pUc, 0.0),
-        np.where(active, pUk, np.where(mode == UNKNOWN, phi, 0.0)),
+        np.where(active[..., None], pC, 0.0),
+        np.where(active, plk, 0.0),
+        np.where(active, puk, np.where(mode == UNKNOWN, phi, 0.0)),
     )
     # Post-ReLU values are non-negative wherever the phases hold.
     qlo = np.where(active, np.maximum(plo, 0.0), 0.0)
@@ -178,8 +174,8 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...
         prev, entry = entry, (None if phases is not None else _KEPT.get(layer))
         if entry is None or entry[0] is not box or entry[1] is not prev:
             if prev is None:
-                eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
-                post = (eye, zero, eye, zero)
+                zero = np.zeros(net.input_size)
+                post = (np.eye(net.input_size), zero, zero)
             else:
                 post = prev[3]
             pre, iv = _pre_step(layer, post, box)

@@ -227,6 +227,43 @@ def test_sbt_step_matches_loop_reference_byte_for_byte():
     assert kinds == {"contradict", "all-inactive"}
 
 
+def test_reference_lower_and_upper_coefficients_are_equal_at_every_layer():
+    # The premise of sbt's one coefficient matrix: the reference steps,
+    # which keep a lower and an upper matrix, make the two byte-equal at
+    # every layer, before and after the ReLU, on random networks and their
+    # split networks with no, random, contradicting, all-inactive and
+    # all-active forced phases.  A relaxation that gives a relaxed row a
+    # slope breaks this here first.
+    rng = np.random.default_rng(52)
+    kinds = set()
+    for _ in range(60):
+        base = random_network(rng, n_layers=int(rng.integers(1, 5)))
+        box = random_box(rng, base.input_size)
+        for net in (base, preprocess(base).network):
+            free_bm = sbt(net, box)[1]
+            for kind in ("none", "random", "contradict", "all-inactive", "all-active"):
+                phases = []
+                for (plo, phi), m in zip(free_bm.pre, net.hidden_sizes):
+                    ph = np.where(rng.random(m) < 0.3, rng.choice([-1, 1], size=m), 0)
+                    if kind == "none":
+                        ph[:] = 0
+                    elif kind == "contradict":
+                        ph = np.where(phi < 0.0, 1, np.where(plo > 0.0, -1, ph))
+                    elif kind in ("all-inactive", "all-active"):
+                        ph[:] = -1 if kind == "all-inactive" else 1
+                    phases.append(ph.astype(np.int8))
+                eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
+                post = (eye, zero, eye, zero)
+                for j, layer in enumerate(net.layers):
+                    expr, iv = _loop_pre_step(layer, post, box)
+                    assert expr[0].tobytes() == expr[2].tobytes()
+                    if layer.relu:
+                        mode, post, _ = _loop_relu_step(expr, iv, phases[j], box)
+                        assert post[0].tobytes() == post[2].tobytes()
+                        kinds.update(int(m) for m in np.unique(mode))
+    assert kinds == {-1, 0, 1}
+
+
 def test_batched_sbt_equals_one_node_sbt_byte_for_byte():
     # Phases with a leading node axis, one (K, n_k) array per hidden layer,
     # give every node the arrays of a one-node call on its own phases,
