@@ -129,7 +129,7 @@ def load_nnet(path) -> Network:
         pos = 7
     except (IndexError, ValueError) as e:
         raise FormatError(f"{path}: malformed NNet header: {e}") from e
-    if len(sizes) != n_layers + 1 or sizes[0] != input_size or sizes[-1] != output_size:
+    if n_layers < 1 or len(sizes) != n_layers + 1 or sizes[0] != input_size or sizes[-1] != output_size:
         raise ValidationError(f"{path}: layer size list inconsistent with header counts")
     layers = []
     for k in range(n_layers):

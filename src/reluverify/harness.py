@@ -33,7 +33,7 @@ from .network import (
     ValidationError,
     evaluate,
 )
-from .solver import EPSILON, first_feasible_completion
+from .solver import first_feasible_completion
 
 # Robustness-suite network shape: hidden layer count and width ranges.
 MIN_LAYERS, MAX_LAYERS = 2, 4
@@ -103,13 +103,14 @@ def reduce_to_single_output(spec: RobustnessSpec) -> list[Query]:
 
 def exhaustive_verdict(q: Query) -> str:
     """Ground truth by brute force: enumerate every ReLU phase pattern
-    (active first) and solve the induced linear feasibility problem.  Only
-    for tiny networks."""
+    (active first) and solve the induced linear feasibility problem by the
+    search's leaf rule, so SAT comes only with a point ``is_witness``
+    accepts.  Only for tiny networks."""
     net = q.network
     if sum(net.hidden_sizes) > 16:
         raise ValueError("exhaustive enumeration limited to 16 hidden neurons")
     phases = [np.zeros(size, dtype=np.int8) for size in net.hidden_sizes]
-    x = first_feasible_completion(net, q.input, phases, q.output.threshold + EPSILON)
+    x = first_feasible_completion(net, q.input, phases, q.output.threshold)
     return "UNSAT" if x is None else "SAT"
 
 

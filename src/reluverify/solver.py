@@ -82,7 +82,9 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
 * ``RETRY_TOLERANCES`` are the tighter simplex pivot and feasibility
   tolerances for re-solving a leaf, once, whose first run failed
   numerically or returned a marginal point; the first run uses the simplex
-  defaults.
+  defaults.  This holds for every leaf LP, the reference enumeration's
+  (``first_feasible_completion``) included: ``_solve_leaf`` is the one
+  place an LP answer becomes a witness or None.
 
 The simplex's bound-propagation presolve (at most
 ``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
@@ -169,25 +171,17 @@ def _leaf_rows(net: Network, modes, phases, target: float):
     return np.vstack(rows)[keep], np.concatenate(rhs)[keep]
 
 
-def _feasible(A, b, box: InputBox):
-    """``feasible_point`` over the box, re-solved with ``RETRY_TOLERANCES``
-    after a numerical failure."""
-    try:
-        return feasible_point(A, b, box.lower, box.upper)
-    except SimplexError:
-        return feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
-
-
-def first_feasible_completion(net: Network, box: InputBox, phases, target: float):
-    """A box point reaching ``target`` in the first completion of ``phases``
-    (undecided neurons filled active-first, in layer order) whose leaf region
-    is feasible, or None when no completion is.  Every neuron gets a row."""
+def first_feasible_completion(net: Network, box: InputBox, phases, threshold: float):
+    """A witness for ``threshold`` in the first completion of ``phases``
+    (undecided neurons filled active-first, in layer order) whose leaf LP
+    ``_solve_leaf`` accepts, or None when no completion has one.  Every
+    neuron gets a row: this is the reference the search is checked against."""
     full = [ph.copy() for ph in phases]
     free = [(k, i) for k, ph in enumerate(full) for i, m in enumerate(ph.tolist()) if m == UNKNOWN]
     for combo in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
         for (k, i), val in zip(free, combo):
             full[k][i] = val
-        x = _feasible(*_leaf_rows(net, full, full, target), box)
+        x = _solve_leaf(net, box, full, full, threshold)
         if x is not None:
             return x
     return None
@@ -197,27 +191,25 @@ def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
     """Feasibility of a fully-decided node; returns a verified witness or None.
 
     The LP has rows only for the branch-fixed neurons (nonzero ``phases``)
-    and the output; the module docstring says why that is exact."""
+    and the output; the module docstring says why that is exact.  A
+    numerical failure or a marginal point (one ``is_witness`` rejects) on
+    the first run is re-solved once with ``RETRY_TOLERANCES``."""
     A, b = _leaf_rows(net, modes, phases, threshold + EPSILON)
-    try:
-        x = feasible_point(A, b, box.lower, box.upper)
-    except SimplexError:
-        x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
-        if x is None:
-            return None
-    else:
+    for tolerances in ({}, RETRY_TOLERANCES):
+        try:
+            x = feasible_point(A, b, box.lower, box.upper, **tolerances)
+        except SimplexError:
+            if tolerances:
+                raise
+            continue
         if x is None or is_witness(net, x, threshold):
             return x
-        # Marginal LP answer; re-solve once with tightened pivots.
-        x = feasible_point(A, b, box.lower, box.upper, **RETRY_TOLERANCES)
-    if x is not None and is_witness(net, x, threshold):
-        return x
     raise SolverError("simplex produced a witness that fails concrete re-evaluation")
 
 
 def _assert_no_sat_leaf(net, box, phases, threshold):
     """Debug check for pruned branches: no completion has a feasible leaf."""
-    x = first_feasible_completion(net, box, phases, threshold + EPSILON)
+    x = first_feasible_completion(net, box, phases, threshold)
     assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
 
 

@@ -132,6 +132,16 @@ def test_nnet_truncated(tmp_path):
         load_nnet(p)
 
 
+def test_nnet_negative_layer_count(tmp_path):
+    # A layer count below 1 is a validation error naming the file, not an
+    # IndexError from reading the empty sizes list.
+    lines = NNET_TEXT.splitlines()
+    p = tmp_path / "negative.nnet"
+    p.write_text("\n".join([lines[0], "-1,2,1,", ","] + lines[3:]))
+    with pytest.raises(ValidationError, match="negative.nnet"):
+        load_nnet(p)
+
+
 def test_query_roundtrip(tmp_path, net121, query121):
     p = tmp_path / "query.json"
     save_query(query121, p)

@@ -144,6 +144,7 @@ def test_verdict_time_covers_the_whole_run(query121):
             assert v.nodes == stats.solver_nodes, mode
             assert v.time >= sum(stats.solver_times)
             assert v.time > 0
+            assert len(stats.solver_times) == stats.iterations, (mode, timeout)
 
 
 def test_timeout_reports_cumulative_nodes(query121, monkeypatch):

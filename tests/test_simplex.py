@@ -5,7 +5,7 @@ import pytest
 
 from reluverify import simplex, solver
 from reluverify.simplex import SimplexError, feasible_point
-from reluverify.solver import EPSILON, RETRY_TOLERANCES, first_feasible_completion, solve
+from reluverify.solver import RETRY_TOLERANCES, first_feasible_completion, solve
 
 from conftest import oracle_queries_and_split_twins
 
@@ -259,7 +259,7 @@ def test_presolve_agrees_with_tableau_on_solver_leaves_and_completions(tmp_path,
     n_leaves = len(systems)
     for q in queries[::2]:
         phases = [np.zeros(size, dtype=np.int8) for size in q.network.hidden_sizes]
-        first_feasible_completion(q.network, q.input, phases, q.output.threshold + EPSILON)
+        first_feasible_completion(q.network, q.input, phases, q.output.threshold)
     for part in (systems[:n_leaves], systems[n_leaves:]):
         counts = _counts()
         for A, b, lo, hi, tolerances in part:

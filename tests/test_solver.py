@@ -21,8 +21,16 @@ from reluverify import (
 )
 from reluverify import solver
 from reluverify.bounds import BoundsMap
-from reluverify.simplex import SimplexError
-from reluverify.solver import EPSILON, RETRY_TOLERANCES, SolverError, _leaf_rows, _solve_leaf, _widest_unknown
+from reluverify.simplex import SimplexError, feasible_point
+from reluverify.solver import (
+    EPSILON,
+    RETRY_TOLERANCES,
+    SolverError,
+    _leaf_rows,
+    _solve_leaf,
+    _widest_unknown,
+    first_feasible_completion,
+)
 
 from conftest import (
     forward_batch,
@@ -260,8 +268,8 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
         A, b = _leaf_rows(net, modes, phases, target)
         A_all, b_all = _leaf_rows(net, modes, modes, target)
         dropped += A_all.shape[0] - A.shape[0]
-        x = solver._feasible(A, b, box)
-        x_all = solver._feasible(A_all, b_all, box)
+        x = feasible_point(A, b, box.lower, box.upper)
+        x_all = feasible_point(A_all, b_all, box.lower, box.upper)
         assert (x is None) == (x_all is None)
         if x is not None:
             feasible += 1
@@ -393,22 +401,28 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
 # ``is_witness``) or a good point.  On 1-2-1 with threshold 700, y = 34 x
 # over [20, 21], so 20 is marginal and 21 is a witness.
 _LEAF_ANSWERS = {"error": SimplexError("stalled"), "marginal": np.array([20.0]), "good": np.array([21.0])}
+_LEAF_SCRIPTS = [
+    (("error", "good"), "good"),
+    (("marginal", "good"), "good"),
+    (("marginal", "marginal"), SolverError),
+    (("error", "marginal"), SolverError),
+]
 
 
 @pytest.mark.parametrize(
-    "script, outcome",
+    "script, outcome, reference",
     [
-        (("error", "good"), "good"),
-        (("marginal", "good"), "good"),
-        (("marginal", "marginal"), SolverError),
-        (("error", "marginal"), SolverError),
+        pytest.param(script, outcome, reference, id=("reference-" if reference else "") + "-".join(script))
+        for reference in (False, True)
+        for script, outcome in _LEAF_SCRIPTS
     ],
-    ids=["error-good", "marginal-good", "marginal-marginal", "error-marginal"],
 )
-def test_leaf_lp_is_re_solved_once_with_tighter_tolerances(net121, monkeypatch, script, outcome):
+def test_leaf_lp_is_re_solved_once_with_tighter_tolerances(net121, monkeypatch, script, outcome, reference):
     # The first run uses the simplex defaults; after a numerical failure or
     # a marginal point the leaf is re-solved once with RETRY_TOLERANCES, and
-    # a second marginal point is a SolverError, with no third run.
+    # a second marginal point is a SolverError, with no third run.  The
+    # reference enumeration, here over phases that are all fixed (one
+    # completion), accepts its LP by the same rule.
     calls = []
 
     def scripted(A, b, lo, hi, **tolerances):
@@ -420,12 +434,18 @@ def test_leaf_lp_is_re_solved_once_with_tighter_tolerances(net121, monkeypatch, 
 
     monkeypatch.setattr(solver, "feasible_point", scripted)
     modes = (np.array([1, 1], dtype=np.int8),)
-    args = (net121, InputBox([20.0], [21.0]), modes, modes, 700.0)
+    box = InputBox([20.0], [21.0])
+
+    def decide():
+        if reference:
+            return first_feasible_completion(net121, box, modes, 700.0)
+        return _solve_leaf(net121, box, modes, modes, 700.0)
+
     if outcome is SolverError:
         with pytest.raises(SolverError):
-            _solve_leaf(*args)
+            decide()
     else:
-        assert _solve_leaf(*args) is _LEAF_ANSWERS[outcome]
+        assert decide() is _LEAF_ANSWERS[outcome]
     assert calls == [{}, RETRY_TOLERANCES]
 
 
