@@ -147,6 +147,7 @@ class AbstractionState:
 
     @property
     def hidden_sizes(self) -> list[int]:
+        """Groups per hidden layer; the benchmark's saturation span reads it."""
         return [len(layer) for layer in self.groups]
 
 

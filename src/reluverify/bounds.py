@@ -10,16 +10,16 @@ unstable neuron a slope (the chord) would need a second matrix.  SBT is
 the one bound the library computes: the solver's node bounds,
 ``output_bounds``, ``output_gap`` and ``tighten_property`` all use it.
 ``ibp`` (concrete intervals pushed forward layer by layer) is kept as the
-reference SBT is checked against: SBT's intervals are contained in IBP's
-on every neuron.
+reference SBT is checked against: SBT's pre-activation intervals are
+contained in IBP's on every neuron.
 
 SBT is a loop over one layer step with two parts: the affine step builds
 a layer's pre-activation expressions and intervals, using the signed
 weight parts each ``Layer`` computes once, and the ReLU step resolves them,
-phase by phase, to post-activation expressions and intervals.  The ReLU
-step concretises nothing: an active neuron's post-activation interval is
-its pre-activation interval clamped at 0, an inactive one's is [0, 0] and
-a relaxed one's is [0, phi].
+phase by phase, to post-activation expressions.  The pre-activation
+interval is the one interval a layer keeps: the output interval (the
+output layer has no ReLU) and each hidden layer's branch choice and phase
+check read it, and nothing reads a post-activation interval.
 
 SBT accepts an optional per-neuron phase vector (used by the
 branch-and-bound solver) that forces chosen ReLUs active or inactive; the
@@ -70,20 +70,19 @@ ACTIVE, INACTIVE, UNKNOWN = 1, -1, 0  # a ReLU's phase or mode
 
 @dataclass(frozen=True, eq=False)
 class BoundsMap:
-    """Per-layer [lo, hi] arrays for pre- and post-activation values;
-    ``output_interval`` reads a one-node map."""
+    """Per-layer [lo, hi] arrays of pre-activation values, the output layer
+    last; ``output_interval`` reads a one-node map."""
 
     pre: tuple[tuple[np.ndarray, np.ndarray], ...]
-    post: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def output_interval(self) -> tuple[float, float]:
-        lo, hi = self.post[-1]
+        lo, hi = self.pre[-1]
         return float(lo[0]), float(hi[0])
 
     def contains(self, other: "BoundsMap", slack: float = 0.0) -> bool:
         """True if every interval of ``other`` lies inside this map's."""
-        for (alo, ahi), (blo, bhi) in zip(self.pre + self.post, other.pre + other.post):
+        for (alo, ahi), (blo, bhi) in zip(self.pre, other.pre):
             if np.any(blo < alo - slack) or np.any(bhi > ahi + slack):
                 return False
         return True
@@ -94,23 +93,19 @@ def ibp(net: Network, box: InputBox) -> BoundsMap:
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
     lo, hi = box.lower, box.upper
-    pre, post = [], []
+    pre = []
     for layer in net.layers:
         W, b = layer.weights, layer.biases
         Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
-        plo = Wp @ lo + Wn @ hi + b
-        phi = Wp @ hi + Wn @ lo + b
-        pre.append((plo, phi))
+        lo, hi = Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
+        pre.append((lo, hi))
         if layer.relu:
-            lo, hi = np.maximum(plo, 0.0), np.maximum(phi, 0.0)
-        else:
-            lo, hi = plo, phi
-        post.append((lo, hi))
-    return BoundsMap(tuple(pre), tuple(post))
+            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    return BoundsMap(tuple(pre))
 
 
 # Layer -> (box, the previous layer's entry, mode, post-activation (C, lk,
-# uk), pre- and post-activation intervals) of a call without phases.
+# uk), pre-activation interval) of a call without phases.
 _KEPT = weakref.WeakKeyDictionary()
 
 
@@ -132,10 +127,9 @@ def _pre_step(layer, post, box: InputBox):
 def _relu_step(pre, interval, fixed):
     """ReLU step: each neuron's mode, where a nonzero ``fixed`` phase
     overrides the one the interval gives, then the post-activation
-    expressions and their intervals.  An active neuron passes its
-    pre-activation expressions and interval through (the interval clamped
-    at 0); the others get a zero coefficient row, the lower constant 0 and
-    the upper constant 0 (inactive) or ``phi`` (relaxed)."""
+    expressions.  An active neuron passes its pre-activation expressions
+    through; the others get a zero coefficient row, the lower constant 0
+    and the upper constant 0 (inactive) or ``phi`` (relaxed)."""
     pC, plk, puk = pre
     plo, phi = interval
     mode = np.zeros(plo.shape, dtype=np.int8)
@@ -144,15 +138,11 @@ def _relu_step(pre, interval, fixed):
     if fixed is not None:
         mode = np.where(fixed != UNKNOWN, fixed, mode).astype(np.int8)
     active = mode == ACTIVE
-    post = (
+    return mode, (
         np.where(active[..., None], pC, 0.0),
         np.where(active, plk, 0.0),
         np.where(active, puk, np.where(mode == UNKNOWN, phi, 0.0)),
     )
-    # Post-ReLU values are non-negative wherever the phases hold.
-    qlo = np.where(active, np.maximum(plo, 0.0), 0.0)
-    qhi = np.where(mode == INACTIVE, 0.0, np.maximum(phi, 0.0))
-    return mode, post, (qlo, qhi)
 
 
 def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...], BoundsMap]:
@@ -168,7 +158,7 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...
     """
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
-    modes, pre_iv, post_iv = [], [], []
+    modes, pre_iv = [], []
     entry = None
     for j, layer in enumerate(net.layers):
         prev, entry = entry, (None if phases is not None else _KEPT.get(layer))
@@ -180,17 +170,16 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...
                 post = prev[3]
             pre, iv = _pre_step(layer, post, box)
             if layer.relu:
-                mode, post, qiv = _relu_step(pre, iv, None if phases is None else phases[j])
+                mode, post = _relu_step(pre, iv, None if phases is None else phases[j])
             else:
-                mode, post, qiv = None, pre, iv
-            entry = (box, prev, mode, post, iv, qiv)
+                mode, post = None, pre
+            entry = (box, prev, mode, post, iv)
             if phases is None:
                 _KEPT[layer] = entry
         if layer.relu:
             modes.append(entry[2])
         pre_iv.append(entry[4])
-        post_iv.append(entry[5])
-    return tuple(modes), BoundsMap(tuple(pre_iv), tuple(post_iv))
+    return tuple(modes), BoundsMap(tuple(pre_iv))
 
 
 def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:

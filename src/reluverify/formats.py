@@ -127,34 +127,35 @@ def load_nnet(path) -> Network:
         for i in range(2, 7):
             _nnet_values(lines[i])
         pos = 7
-    except (IndexError, ValueError) as e:
+    except (IndexError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}: malformed NNet header: {e}") from e
     if n_layers < 1 or len(sizes) != n_layers + 1 or sizes[0] != input_size or sizes[-1] != output_size:
         raise ValidationError(f"{path}: layer size list inconsistent with header counts")
+    if min(sizes) < 1:
+        raise ValidationError(f"{path}: layer sizes must be at least 1, got {sizes}")
     layers = []
     for k in range(n_layers):
-        rows, n_out, n_in = [], sizes[k + 1], sizes[k]
+        ctx, n_out, n_in = f"{path}: layer {k}", sizes[k + 1], sizes[k]
+        block = []  # n_out weight rows, then n_out biases
+        for _ in range(2 * n_out):
+            try:
+                block.append(_nnet_values(lines[pos]))
+            except IndexError as e:
+                raise FormatError(f"{path}: truncated file in layer {k}") from e
+            except ValueError as e:
+                raise FormatError(f"{ctx}, line {pos + 1}: {e}") from e
+            pos += 1
+        rows, biases = block[:n_out], block[n_out:]
+        for j, row in enumerate(rows):
+            if len(row) != n_in:
+                raise ValidationError(f"{ctx} neuron {j}: expected {n_in} weights, got {len(row)}")
+        for j, vals in enumerate(biases):
+            if len(vals) != 1:
+                raise ValidationError(f"{ctx} neuron {j}: expected 1 bias value")
         try:
-            for j in range(n_out):
-                row = _nnet_values(lines[pos])
-                pos += 1
-                if len(row) != n_in:
-                    raise ValidationError(
-                        f"{path}: layer {k} neuron {j}: expected {n_in} weights, got {len(row)}"
-                    )
-                rows.append(row)
-            biases = []
-            for j in range(n_out):
-                vals = _nnet_values(lines[pos])
-                pos += 1
-                if len(vals) != 1:
-                    raise ValidationError(f"{path}: layer {k} neuron {j}: expected 1 bias value")
-                biases.append(vals[0])
-        except IndexError as e:
-            raise FormatError(f"{path}: truncated file in layer {k}") from e
-        except ValueError as e:
-            raise FormatError(f"{path}: layer {k}, line {pos + 1}: {e}") from e
-        layers.append(Layer(rows, biases, relu=k < n_layers - 1))
+            layers.append(Layer(rows, [vals[0] for vals in biases], relu=k < n_layers - 1))
+        except ValidationError as e:
+            raise ValidationError(f"{ctx}: {e}") from e
     return Network(layers, input_size)
 
 

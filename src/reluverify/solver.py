@@ -339,7 +339,7 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         phases = tuple(np.stack(layer) for layer in zip(*batch))
         relu_modes, bm = sbt(net, box, phases)
 
-        closed = bm.post[-1][1][:, 0] <= c
+        closed = bm.pre[-1][1][:, 0] <= c
         for ph, (plo, phi) in zip(phases, bm.pre):
             closed |= np.any(((ph == ACTIVE) & (phi < 0)) | ((ph == INACTIVE) & (plo > 0)), axis=1)
         branches = _widest_unknown(relu_modes, bm)

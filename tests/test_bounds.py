@@ -73,8 +73,8 @@ def test_sbt_unstable_relu():
     box = InputBox([-1.0], [1.0])
     modes, bm = sbt(net, box)
     assert modes[0][0] == 0
-    assert bm.post[0][0][0] == pytest.approx(0.0, abs=0)
-    assert bm.post[0][1][0] == pytest.approx(1.0, abs=0)
+    assert bm.pre[0][0][0] == pytest.approx(-1.0, abs=0)
+    assert bm.pre[0][1][0] == pytest.approx(1.0, abs=0)
     assert bm.output_interval == pytest.approx((0.0, 1.0), abs=0)
 
 
@@ -134,9 +134,9 @@ def _loop_pre_step(layer, post, box):
     return (pLc, pLk, pUc, pUk), (_loop_concrete_lo(pLc, pLk, box), _loop_concrete_hi(pUc, pUk, box))
 
 
-def _loop_relu_step(pre, interval, fixed, box):
+def _loop_relu_step(pre, interval, fixed):
     """Reference ReLU step: masked writes into copies of the pre-activation
-    expressions, then a second pair of concretisations."""
+    expressions."""
     pLc, pLk, pUc, pUk = pre
     plo, phi = interval
     mode = np.zeros(plo.shape[0], dtype=np.int8)
@@ -152,29 +152,27 @@ def _loop_relu_step(pre, interval, fixed, box):
     relaxed = mode == 0
     Lc[relaxed], Lk[relaxed] = 0.0, 0.0
     Uc[relaxed], Uk[relaxed] = 0.0, phi[relaxed]
-    qlo, qhi = _loop_concrete_lo(Lc, Lk, box), _loop_concrete_hi(Uc, Uk, box)
-    return mode, (Lc, Lk, Uc, Uk), (np.maximum(qlo, 0.0), np.maximum(qhi, 0.0))
+    return mode, (Lc, Lk, Uc, Uk)
 
 
 def _loop_sbt(net, box, phases):
     """From-scratch SBT over the reference steps."""
     eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
     post = (eye, zero, eye, zero)
-    modes, pre_iv, post_iv = [], [], []
+    modes, pre_iv = [], []
     for j, layer in enumerate(net.layers):
         expr, iv = _loop_pre_step(layer, post, box)
         pre_iv.append(iv)
         if layer.relu:
-            mode, post, iv = _loop_relu_step(expr, iv, phases[j], box)
+            mode, post = _loop_relu_step(expr, iv, phases[j])
             modes.append(mode)
         else:
             post = expr
-        post_iv.append(iv)
-    return modes, pre_iv, post_iv
+    return modes, pre_iv
 
 
-def _sbt_bytes(modes, pre, post):
-    arrays = [*modes, *(a for pair in pre + post for a in pair)]
+def _sbt_bytes(modes, pre):
+    arrays = [*modes, *(a for pair in pre for a in pair)]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -182,7 +180,7 @@ def _fresh_bytes(net, box):
     """The bytes of ``net``'s bound from the input: all-zero phases give
     the arrays of a call without phases, and read no kept layer."""
     modes, bm = sbt(net, box, tuple(np.zeros(m, dtype=np.int8) for m in net.hidden_sizes))
-    return _sbt_bytes(modes, bm.pre, bm.post)
+    return _sbt_bytes(modes, bm.pre)
 
 
 def test_sbt_step_matches_loop_reference_byte_for_byte():
@@ -212,7 +210,7 @@ def test_sbt_step_matches_loop_reference_byte_for_byte():
                 phases = tuple(phases)
                 modes, bm = sbt(net, box, phases)
                 ref = _loop_sbt(net, box, phases)
-                assert _sbt_bytes(modes, bm.pre, bm.post) == _sbt_bytes(*ref)
+                assert _sbt_bytes(modes, bm.pre) == _sbt_bytes(*ref)
                 if kind == "contradict" and any(np.any(p != 0) for p in phases):
                     kinds.add(kind)
                 if any(np.all(p == -1) for p in phases):
@@ -223,7 +221,7 @@ def test_sbt_step_matches_loop_reference_byte_for_byte():
                 ph[rng.random(ph.size) < 0.5] = rng.choice([-1, 1])
                 child = phases[:k] + (ph,) + phases[k + 1 :]
                 modes, bm = sbt(net, box, child)
-                assert _sbt_bytes(modes, bm.pre, bm.post) == _sbt_bytes(*_loop_sbt(net, box, child))
+                assert _sbt_bytes(modes, bm.pre) == _sbt_bytes(*_loop_sbt(net, box, child))
     assert kinds == {"contradict", "all-inactive"}
 
 
@@ -258,7 +256,7 @@ def test_reference_lower_and_upper_coefficients_are_equal_at_every_layer():
                     expr, iv = _loop_pre_step(layer, post, box)
                     assert expr[0].tobytes() == expr[2].tobytes()
                     if layer.relu:
-                        mode, post, _ = _loop_relu_step(expr, iv, phases[j], box)
+                        mode, post = _loop_relu_step(expr, iv, phases[j])
                         assert post[0].tobytes() == post[2].tobytes()
                         kinds.update(int(m) for m in np.unique(mode))
     assert kinds == {-1, 0, 1}
@@ -298,10 +296,10 @@ def test_batched_sbt_equals_one_node_sbt_byte_for_byte():
                         kinds.add(fill)
                 nodes.append(tuple(node))
             modes, bm = sbt(net, box, tuple(np.stack(layer) for layer in zip(*nodes)))
-            batched = _sbt_bytes(modes, bm.pre, bm.post)
+            batched = _sbt_bytes(modes, bm.pre)
             for n, node in enumerate(nodes):
                 one = sbt(net, box, node)
-                arrays = [*one[0], *(a for pair in one[1].pre + one[1].post for a in pair)]
+                arrays = [*one[0], *(a for pair in one[1].pre for a in pair)]
                 assert len(arrays) == len(batched)
                 for a, (dtype, shape, raw) in zip(arrays, batched):
                     assert dtype == a.dtype.str and shape in (a.shape, (K, *a.shape))
@@ -340,13 +338,13 @@ def test_root_sbt_is_kept_for_the_same_network_and_box(affine_steps):
             n = len(net.layers)
             affine_steps.clear()
             modes, bm = sbt(net, box)
-            expected = _sbt_bytes(modes, bm.pre, bm.post)
+            expected = _sbt_bytes(modes, bm.pre)
             assert len(affine_steps) == n
             modes, bm = sbt(net, box)
-            assert _sbt_bytes(modes, bm.pre, bm.post) == expected and len(affine_steps) == n
+            assert _sbt_bytes(modes, bm.pre) == expected and len(affine_steps) == n
             assert _fresh_bytes(net, box) == expected
             modes, bm = sbt(net, InputBox(box.lower, box.upper))
-            assert _sbt_bytes(modes, bm.pre, bm.post) == expected
+            assert _sbt_bytes(modes, bm.pre) == expected
             assert len(affine_steps) == 3 * n
             sbt(net, random_box(rng, net.input_size))
             assert len(affine_steps) == 4 * n
@@ -380,7 +378,7 @@ def test_split_network_bound_reuses_the_layers_below_the_split(affine_steps):
             affine_steps.clear()
             modes, bm = sbt(state.network, box)
             assert affine_steps == list(state.network.layers[L:]), trial
-            assert _sbt_bytes(modes, bm.pre, bm.post) == _fresh_bytes(state.network, box), trial
+            assert _sbt_bytes(modes, bm.pre) == _fresh_bytes(state.network, box), trial
             seen.add("first" if L == 0 else "last" if L == last else "inner")
     assert seen == {"first", "inner", "last"}
 
@@ -403,7 +401,7 @@ def test_a_shared_layer_behind_another_layer_0_is_bounded_afresh(affine_steps):
             affine_steps.clear()
             modes, bm = sbt(bounded, box)
             assert affine_steps == list(steps)
-            assert _sbt_bytes(modes, bm.pre, bm.post) == _fresh_bytes(bounded, box)
+            assert _sbt_bytes(modes, bm.pre) == _fresh_bytes(bounded, box)
 
 
 def test_calls_with_phases_leave_the_kept_layers_unchanged(affine_steps):

@@ -132,6 +132,30 @@ def test_nnet_truncated(tmp_path):
         load_nnet(p)
 
 
+# (file name, line of NNET_TEXT replaced, its new text, expected error)
+_MALFORMED_NNET = [
+    ("inf-header", 1, "inf,1,1,2,", FormatError),
+    ("inf-size", 2, "1,inf,1,", FormatError),
+    ("nan-weight", 8, "nan,", ValidationError),
+    ("zero-size", 2, "1,0,1,", ValidationError),
+    ("negative-size", 2, "1,-2,1,", ValidationError),
+    ("wide-row", 8, "10.0,2.0,", ValidationError),
+]
+
+
+@pytest.mark.parametrize("name, line, text, error", _MALFORMED_NNET, ids=[c[0] for c in _MALFORMED_NNET])
+def test_nnet_malformed_names_the_file_once(tmp_path, name, line, text, error):
+    # Each malformed file raises an input-file error whose message names
+    # the file exactly once.
+    lines = NNET_TEXT.splitlines()
+    lines[line] = text
+    p = tmp_path / f"{name}.nnet"
+    p.write_text("\n".join(lines))
+    with pytest.raises(error) as info:
+        load_nnet(p)
+    assert str(info.value).count(str(p)) == 1, str(info.value)
+
+
 def test_nnet_negative_layer_count(tmp_path):
     # A layer count below 1 is a validation error naming the file, not an
     # IndexError from reading the empty sizes list.

@@ -122,7 +122,8 @@ def _dir_digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             h.update(os.path.relpath(path, root).encode())
-            h.update(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                h.update(fh.read())
     return h.hexdigest()
 
 
