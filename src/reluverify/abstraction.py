@@ -30,9 +30,12 @@ member of every layer in one array and takes one ``argmax``.
 A state keeps each layer's ``_layer_order`` in ``orders``, and a split
 rebuilds only the split layer's; the other derivations read the kept ones.
 A state made by ``refine_split`` also records the split ``(layer,
-member)`` and its guiding point with the base network's hidden values
-there.  The next split reuses those values when its point is equal, as it
-is whenever the solver's witness is again the box midpoint.  The two
+member)`` and its guiding point, with the base network's and its own
+network's hidden values there.  The loop's re-split check reads the
+state's output at that point from them (``output_at``), and a next split
+at an equal point, as when the loop splits again at the kept
+counterexample or the solver's witness is again the box midpoint, reuses
+both, so no network is evaluated twice at one point.  The two
 re-derived layers are built with ``network._trusted_layer``: their arrays
 come from the checked base, so they are not copied or scanned again.
 
@@ -127,15 +130,15 @@ class AbstractionState:
     ``orders`` holds ``_layer_order`` of each layer's groups.  ``split`` is
     the ``(layer, member)`` that ``refine_split`` extracted to make this
     state, and ``guide`` its guiding point with the base network's
-    concatenated hidden values there; both are None for a state made from
-    scratch."""
+    concatenated hidden values and ``network``'s hidden values there; both
+    are None for a state made from scratch."""
 
     base: CategorizedNetwork
     groups: Groups
     network: Network
     orders: tuple[Order, ...]
     split: tuple[int, int] | None = None
-    guide: tuple[np.ndarray, np.ndarray] | None = None
+    guide: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
     @property
     def excess(self) -> int:
@@ -144,6 +147,18 @@ class AbstractionState:
         Groups partition each base layer, so this is the base layer sizes
         minus the group counts."""
         return sum(len(cats) - len(layer) for cats, layer in zip(self.base.categories, self.groups))
+
+    def hidden_values_at(self, x: np.ndarray) -> list[np.ndarray]:
+        """The abstract network's hidden values at ``x``: the guide's when
+        ``x`` is its point, else a forward pass."""
+        if self.guide is not None and np.array_equal(self.guide[0], x):
+            return self.guide[2]
+        return hidden_values(self.network, x)
+
+    def output_at(self, x: np.ndarray) -> float:
+        """The abstract network's output at ``x``, by ``evaluate``'s arithmetic."""
+        hidden, out = self.hidden_values_at(x), self.network.layers[-1]
+        return float((out.weights @ (hidden[-1] if hidden else x) + out.biases)[0])
 
     @property
     def hidden_sizes(self) -> list[int]:
@@ -190,7 +205,7 @@ def _split_choice(state: AbstractionState, x0: np.ndarray, v_base: np.ndarray) -
     group = np.repeat(np.arange(sizes.size), sizes)
     merged = sizes[group] > 1
     m, g = members[merged], group[merged]
-    v_abs = np.concatenate(hidden_values(state.network, x0))
+    v_abs = np.concatenate(state.hidden_values_at(x0))
     score = np.full(offsets[-1], -np.inf)
     score[m] = np.concatenate(base.outgoing_weight)[m] * np.abs(v_base[m] - v_abs[g])
     j = int(np.argmax(score))
@@ -212,11 +227,12 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (state.base.network.input_size,):
         raise ValueError("x0 has the wrong dimension")
-    guide = state.guide
-    if guide is None or not np.array_equal(guide[0], x0):
-        guide = x0.copy(), np.concatenate(hidden_values(state.base.network, x0))
+    if state.guide is not None and np.array_equal(state.guide[0], x0):
+        x0, v_base = state.guide[:2]
+    else:
+        x0, v_base = x0.copy(), np.concatenate(hidden_values(state.base.network, x0))
 
-    L, member = _split_choice(state, x0, guide[1])
+    L, member = _split_choice(state, x0, v_base)
     old_groups = state.groups[L]
     members, _, starts = state.orders[L]
     gi = int(np.searchsorted(starts, np.flatnonzero(members == member)[0], side="right")) - 1
@@ -248,4 +264,5 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
     W = np.concatenate([layers[L + 1].weights, W], axis=1)
     layers[L + 1] = _trusted_layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
     network = _trusted_network(tuple(layers), state.network)
+    guide = x0, v_base, hidden_values(network, x0)
     return AbstractionState(base, tuple(groups), network, tuple(orders), (L, member), guide)

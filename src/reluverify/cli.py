@@ -104,7 +104,7 @@ def _cmd_verify(args) -> int:
         print(f"witness: {verdict.witness.tolist()}")
     print(
         f"iterations: {stats.iterations}  refinements: {stats.refinement_steps}  "
-        f"time: {stats.total_time:.3f}s  nodes: {stats.solver_nodes}"
+        f"solves: {len(stats.solver_times)}  time: {stats.total_time:.3f}s  nodes: {stats.solver_nodes}"
     )
     return EXIT_TIMEOUT if verdict.status.value == "TIMEOUT" else EXIT_OK
 

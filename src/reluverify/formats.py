@@ -111,6 +111,13 @@ def _nnet_values(line: str) -> list[float]:
     return [float(tok) for tok in line.strip().split(",") if tok.strip() != ""]
 
 
+def _nnet_count(value: float) -> int:
+    # int() would truncate 2.9 to 2 without a word.
+    if value != int(value):
+        raise ValueError(f"count {value!r} is not an integer")
+    return int(value)
+
+
 def load_nnet(path) -> Network:
     """Read the ACAS-Xu style plain-text format (all hidden layers ReLU)."""
     with open(path, encoding="utf-8") as fh:
@@ -121,8 +128,8 @@ def load_nnet(path) -> Network:
     lines = [ln for ln in (ln.strip() for ln in raw) if ln]
     try:
         header = _nnet_values(lines[0])
-        n_layers, input_size, output_size = int(header[0]), int(header[1]), int(header[2])
-        sizes = [int(v) for v in _nnet_values(lines[1])]
+        n_layers, input_size, output_size = (_nnet_count(v) for v in header[:3])
+        sizes = [_nnet_count(v) for v in _nnet_values(lines[1])]
         # line 2: symmetric flag; lines 3-6: mins, maxes, means, ranges (ignored).
         for i in range(2, 7):
             _nnet_values(lines[i])

@@ -10,6 +10,23 @@ by the certified output gap of each new abstract network.  All
 three agree on verdicts outside the granularity band ``(c, c + EPSILON)``
 (see ``solver``); they differ in how much work the backend solver sees.
 
+A spurious point ``x0`` is split on until it stops being a witness of the
+abstract query.  After a split, while merges remain and ``x0`` reaches
+``threshold + EPSILON`` on the new abstract network, which is the
+falsifier's rule in ``solver``, the loop splits again at ``x0`` without
+calling ``solve`` or ``is_genuine``.  This is sound: the original network
+does not change, so ``x0`` is still spurious; UNSAT still comes only from
+``solve``, and SAT only from ``is_genuine``.  ``cegarette``'s threshold is
+the one tightened for the network in hand, for the check and the solve
+alike, never a previous one's: a split can change the certified gap
+either way, and an UNSAT answer against a gap the network does not have
+need not carry over to the original.  Each
+network's hidden values at ``x0`` are computed once, when ``refine_split``
+builds it, and serve both this check and the next split's choice.  The
+time limit is checked before each split.  Such an iteration counts in
+``RunStats.iterations`` and ``resplits`` and has no entry in
+``solver_times``.
+
 Each layer is bounded once per call: ``bounds.sbt`` keeps every layer's
 phase-free result for the box ``verify`` builds, so ``cegarette`` bounds
 the original once, ``solve``'s root reuses the abstract network's bound
@@ -30,14 +47,16 @@ from .abstraction import abstract_to_saturation, refine_split
 from .bounds import tighten_property
 from .categorize import preprocess
 from .network import Query
-from .solver import Status, Verdict, is_witness, solve
+from .solver import EPSILON, Status, Verdict, is_witness, solve
 
 MODES = ("direct", "cegar", "cegarette")
 
 
 @dataclass
 class RunStats:
-    """Per-run bookkeeping: one entry per loop iteration where applicable."""
+    """Per-run bookkeeping: one entry per loop iteration (one abstract
+    network examined) where applicable; ``solver_times`` has one per
+    iteration that solved, which is ``iterations - resplits`` of them."""
 
     mode: str
     iterations: int = 0
@@ -45,7 +64,8 @@ class RunStats:
     abstract_hidden_sizes: list[list[int]] = field(default_factory=list)
     thresholds: list[float] = field(default_factory=list)
     splits: list[tuple[int, int]] = field(default_factory=list)  # (layer, member) per refinement
-    solver_times: list[float] = field(default_factory=list)
+    solver_times: list[float] = field(default_factory=list)  # one per iteration that solved
+    resplits: int = 0  # iterations that split again at the kept point, without a solve
     solver_nodes: int = 0
     sampled_counterexamples: int = 0  # solves whose SAT witness came from the root falsifier
     total_time: float = 0.0
@@ -86,6 +106,7 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
         network, stats.initial_excess = state.network, state.excess
     iteration_bound = 1 + stats.initial_excess
 
+    x0 = None  # the spurious point that guided the last split
     while True:
         if mode == "cegarette":
             prop = tighten_property(network, q.network, box, q.output)
@@ -99,20 +120,27 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
                 f"{mode}: exceeded the convergence bound of {iteration_bound} iterations"
             )
 
-        budget = None if timeout is None else timeout - (time.monotonic() - start)
-        v = solve(Query(network, box, prop), timeout=budget)
-        stats.solver_times.append(v.time)
-        stats.solver_nodes += v.nodes
-        stats.sampled_counterexamples += v.sampled
+        if x0 is not None and state.excess > 0 and state.output_at(x0) >= prop.threshold + EPSILON:
+            # x0 is a witness of this abstract query by the falsifier's rule,
+            # and still spurious: split again without solving.
+            stats.resplits += 1
+        else:
+            budget = None if timeout is None else timeout - (time.monotonic() - start)
+            v = solve(Query(network, box, prop), timeout=budget)
+            stats.solver_times.append(v.time)
+            stats.solver_nodes += v.nodes
+            stats.sampled_counterexamples += v.sampled
 
-        if v.status is not Status.SAT:
-            return finish(v.status)
-        x0 = v.witness
-        # In ``direct`` the solver already accepted x0 by ``is_witness`` on
-        # this network and threshold, which is this check, so ``direct``
-        # never gets past it to refine.
-        if is_genuine(q, x0):
-            return finish(Status.SAT, x0, v.sampled)
+            if v.status is not Status.SAT:
+                return finish(v.status)
+            x0 = v.witness
+            # In ``direct`` the solver already accepted x0 by ``is_witness`` on
+            # this network and threshold, which is this check, so ``direct``
+            # never gets past it to refine.
+            if is_genuine(q, x0):
+                return finish(Status.SAT, x0, v.sampled)
+        if timeout is not None and time.monotonic() - start >= timeout:
+            return finish(Status.TIMEOUT)
         state = refine_split(state, x0)
         network = state.network
         stats.splits.append(state.split)

@@ -32,6 +32,14 @@ all unknown, which gives the same arrays, and the call reuses every layer
 with the one it was split from.  A root that decides, or that is a leaf,
 is all the work a query does.
 
+A root leaf (every neuron stable) is first answered at a box corner.  The
+network is affine on the box there, so its maximum lies at the corner
+``where(g > 0, upper, lower)``, with ``g`` the input gradient under the
+root's modes.  If the corner's exact output reaches ``c + EPSILON``, the
+falsifier's rule below, it is the witness and no LP is built.  Otherwise
+the leaf LP decides, so UNSAT still comes only from the LP, and a root
+leaf costs one LP only when the corner misses.
+
 The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
 ``sbt`` call, whose phases carry a leading node axis.  The
@@ -59,9 +67,10 @@ no code changes a phase array in place.
 Before the root branches, ``_falsify`` looks for a SAT witness by
 sampling.  It runs once per ``solve``, at the root, when the root bound
 has neither pruned nor given a midpoint witness, and only if the root is
-not a leaf, which is one LP already.  One numpy batch, the box midpoint
-and ``FALSIFY_SAMPLES`` uniform box points from a fixed seed, takes
-``FALSIFY_STEPS`` signed-gradient steps clipped to the box.  A point
+not a leaf, which the corner and at most one LP decide.  One numpy
+batch, the box midpoint and ``FALSIFY_SAMPLES`` uniform box points from a
+fixed seed, takes ``FALSIFY_STEPS`` signed-gradient steps clipped to the
+box.  A point
 counts only if its exact output reaches ``c + EPSILON``, which implies
 ``is_witness``.  That is the leaf LP's reach rule, so when the maximum
 lies in the granularity band ``(c, c + EPSILON)`` the falsifier finds
@@ -302,6 +311,14 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
             return verdict(Status.SAT, mid)
     branch = int(_widest_unknown(relu_modes, bm))
     if branch < 0:
+        # The network is affine on the box, so its maximum is at the corner
+        # the input gradient under the root modes points to.
+        g = net.layers[-1].weights[0]
+        for layer, mode in zip(reversed(net.layers[:-1]), reversed(relu_modes)):
+            g = (g * (mode == ACTIVE)) @ layer.weights
+        x = np.where(g > 0.0, box.upper, box.lower)
+        if evaluate(net, x)[0] >= c + EPSILON:
+            return verdict(Status.SAT, x)
         x = _solve_leaf(net, box, relu_modes, root, c)
         return verdict(Status.UNSAT) if x is None else verdict(Status.SAT, x)
     x = _falsify(net, box, c)

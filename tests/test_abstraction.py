@@ -370,6 +370,10 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
             assert (member,) in new.groups[L]
             assert np.array_equal(new.guide[0], x0)
             assert np.array_equal(new.guide[1], np.concatenate(hidden_values(base.network, x0)))
+            own = hidden_values(new.network, x0)
+            assert len(new.guide[2]) == len(own)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new.guide[2], own))
+            assert new.output_at(x0) == evaluate(new.network, x0)[0]
             for kept, layer_groups in zip(new.orders, new.groups):
                 for got, want in zip(kept, _layer_order(layer_groups)):
                     assert np.array_equal(got, want), trial

@@ -356,3 +356,16 @@ def test_out_lists_each_split(query_files, tmp_path):
     stats = json.loads(out.read_text())["stats"]
     assert stats["refinement_steps"] >= 1
     assert stats["splits"] == [[0, 1]] * stats["refinement_steps"]
+
+
+def test_verify_prints_solves(query_files, tmp_path, capsys):
+    # The summary line counts solves apart from iterations: an iteration
+    # that splits again at the kept counterexample solves nothing.
+    net, prop = query_files
+    out = tmp_path / "run.json"
+    assert main(["verify", "--net", net, "--prop", prop, "--mode", "cegar", "--out", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    solves = len(stats["solver_times"])
+    assert solves == stats["iterations"] - stats["resplits"]
+    summary = f"iterations: {stats['iterations']}  refinements: {stats['refinement_steps']}  solves: {solves}  "
+    assert summary in capsys.readouterr().out

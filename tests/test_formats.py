@@ -136,6 +136,8 @@ def test_nnet_truncated(tmp_path):
 _MALFORMED_NNET = [
     ("inf-header", 1, "inf,1,1,2,", FormatError),
     ("inf-size", 2, "1,inf,1,", FormatError),
+    ("fractional-count", 1, "2.9,1,1,2,", FormatError),
+    ("fractional-size", 2, "1,2.7,1,", FormatError),
     ("nan-weight", 8, "nan,", ValidationError),
     ("zero-size", 2, "1,0,1,", ValidationError),
     ("negative-size", 2, "1,-2,1,", ValidationError),

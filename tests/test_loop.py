@@ -1,4 +1,6 @@
 import dataclasses
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,7 +103,7 @@ def test_stats_shape_and_monotone_sizes():
         v, stats = verify(q, "cegarette")
         assert len(stats.abstract_hidden_sizes) == stats.iterations
         assert len(stats.thresholds) == stats.iterations
-        assert len(stats.solver_times) == stats.iterations
+        assert len(stats.solver_times) == stats.iterations - stats.resplits
         totals = [sum(sz) for sz in stats.abstract_hidden_sizes]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
@@ -144,7 +146,7 @@ def test_verdict_time_covers_the_whole_run(query121):
             assert v.nodes == stats.solver_nodes, mode
             assert v.time >= sum(stats.solver_times)
             assert v.time > 0
-            assert len(stats.solver_times) == stats.iterations, (mode, timeout)
+            assert len(stats.solver_times) == stats.iterations - stats.resplits, (mode, timeout)
 
 
 def test_timeout_reports_cumulative_nodes(query121, monkeypatch):
@@ -191,13 +193,14 @@ def test_sampled_counterexamples_are_counted(monkeypatch):
         monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
 
 
-def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
+def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps, abstraction_states):
     # The original network never changes during a run, so its root bound is
     # computed once per call, not once per iteration; a second call on the
     # same Query computes it again.  The first abstract network is bounded
-    # in full, once, for the gap.  Each later one shares layers 0..L-1 with
-    # the network it was split from at layer L, and its root bound reuses
-    # that one's kept layers, so it takes one affine step per layer from L on.
+    # in full, once, for the gap.  Each later one, solved or split again
+    # at the kept point, shares layers 0..L-1 with the network it was split
+    # from at layer L, and its gap reuses that one's kept layers, so it
+    # takes one affine step per layer from L on.
     # ``solve``'s root, its one ``sbt`` call without phases, reuses the
     # bound and takes no affine step; its child nodes are bounded in
     # batches, with phases, from the input.
@@ -225,17 +228,100 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps):
         affine_steps.clear()
         solved.clear()
         root_steps.clear()
+        abstraction_states.clear()
         v, stats = verify(q, "cegarette")
-        assert v.status is Status.UNSAT and stats.iterations == len(solved) == 13
-        assert root_steps == [0] * stats.iterations
+        assert v.status is Status.UNSAT and stats.iterations == 13 and stats.resplits > 0
+        assert len(solved) == stats.iterations - stats.resplits
+        assert root_steps == [0] * len(solved)
         inside = {i for _, start, end in solved for i in range(start, end)}
         outside = [layer for i, layer in enumerate(affine_steps) if i not in inside]
-        nets = [net for net, _, _ in solved]
+        nets = [state.network for state in abstraction_states]
         expected = [*nets[0].layers, *q.network.layers]
         for net, (L, _) in zip(nets[1:], stats.splits):
             expected += net.layers[L:]
         assert len(outside) == len(expected) and all(a is b for a, b in zip(outside, expected))
         assert any(L > 0 for L, _ in stats.splits)
+
+
+def _record_solves_and_splits(monkeypatch) -> list:
+    """The loop's solves and splits, in order: ``("solve", query)`` and
+    ``("split", network split, point)``."""
+    events = []
+    real_solve, real_refine = loop.solve, loop.refine_split
+
+    def recording_solve(query, **kwargs):
+        events.append(("solve", query))
+        return real_solve(query, **kwargs)
+
+    def recording_refine(state, x0):
+        events.append(("split", state.network, np.array(x0)))
+        return real_refine(state, x0)
+
+    monkeypatch.setattr(loop, "solve", recording_solve)
+    monkeypatch.setattr(loop, "refine_split", recording_refine)
+    return events
+
+
+def test_each_network_is_checked_against_its_own_threshold(monkeypatch):
+    # Criterion 2's suite.  Solving the network that ends a re-split chain
+    # against the threshold tightened for the network before it answered
+    # UNSAT on queries 133, 143, 314 and 381, which are SAT.  Every
+    # ``cegarette`` solve must use the threshold tightened for the network
+    # it solves, and every re-split point (a split with no solve since the
+    # last one) must reach its iteration's threshold + EPSILON on the
+    # network it splits, that threshold being tightened for that network.
+    rng = np.random.default_rng(20240817)
+    queries = [random_query(rng, net=random_oracle_network(rng)) for _ in range(500)]
+    events = _record_solves_and_splits(monkeypatch)
+    resplits = 0
+    for i, q in enumerate(queries):
+        events.clear()
+        v, stats = verify(q, "cegarette")
+        if i in (133, 143, 314, 381):
+            assert v.status is Status.SAT and oracle_verdict(q) == "SAT", i
+        iteration, run_resplits = 0, 0  # the iteration whose network is next solved or split
+        for previous, event in zip([("solve",), *events], events):
+            if event[0] == "solve":
+                network, threshold = event[1].network, event[1].output.threshold
+            else:
+                network, threshold = event[1], stats.thresholds[iteration]
+                iteration += 1
+                if previous[0] == "solve":
+                    continue
+                run_resplits += 1
+                assert evaluate(network, event[2])[0] >= threshold + solver.EPSILON, i
+            assert threshold == bounds.tighten_property(network, q.network, q.input, q.output).threshold, i
+        assert run_resplits == stats.resplits, i
+        resplits += run_resplits
+    assert resplits > 50
+
+
+def test_timeout_inside_a_re_split_chain(monkeypatch):
+    # The clock jumps past the budget during the first re-split.  The time
+    # limit is checked before each split, so the run stops at the next
+    # split of the chain, with no solve after the jump.
+    rng = np.random.default_rng(9)
+    q = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
+    events = _record_solves_and_splits(monkeypatch)
+    _, stats = verify(q, "cegar")
+    kinds = [e[0] for e in events]
+    assert kinds[:4] == ["solve", "split", "split", "split"]  # two re-splits follow the first solve
+    jump = [0.0]
+    real_refine = loop.refine_split
+
+    def refine_then_jump(state, x0):
+        if events[-1][0] == "split":
+            jump[0] = 1e6
+        return real_refine(state, x0)
+
+    monkeypatch.setattr(loop, "refine_split", refine_then_jump)
+    monkeypatch.setattr(loop, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + jump[0]))
+    events.clear()
+    v, stats = verify(q, "cegar", timeout=10.0)
+    assert v.status is Status.TIMEOUT
+    assert v.time == stats.total_time >= 1e6
+    assert [e[0] for e in events] == kinds[:3]
+    assert stats.iterations == 3 and stats.resplits == 2 and len(stats.solver_times) == 1
 
 
 def test_splits_name_the_layer_whose_groups_changed(abstraction_states):

@@ -455,3 +455,39 @@ def test_solve_rejects_a_nan_timeout(query121):
     # A NaN limit used to run with no limit and return a verdict.
     with pytest.raises(ValueError, match="NaN"):
         solve(query121, timeout=float("nan"))
+
+
+def test_root_leaf_corner_agrees_with_the_leaf_lp():
+    # Small boxes make every neuron stable at the root, where the network
+    # is affine and ``solve`` first tries the corner its gradient points
+    # to.  Thresholds are drawn inside the root's output interval, and some
+    # in the granularity band just under its top, so the root bound decides
+    # none of them.  The verdict must be the leaf LP's, a corner witness must
+    # pass ``is_witness``, and no LP point may beat it by more than 1e-9.
+    rng = np.random.default_rng(86)
+    leaves, corners, unsat = 0, 0, 0
+    while leaves < 150:
+        net = random_network(rng, n_inputs=int(rng.integers(1, 4)))
+        center = rng.uniform(-1.0, 1.0, size=net.input_size)
+        half = rng.uniform(1e-4, 1e-2, size=net.input_size)
+        box = InputBox(center - half, center + half)
+        modes, bm = solver.sbt(net, box)
+        if any(np.any(mode == 0) for mode in modes):
+            continue
+        lo, hi = bm.output_interval
+        c = hi - rng.uniform(0.0, EPSILON) if leaves % 3 == 0 else rng.uniform(lo, hi)
+        if not lo - EPSILON < c < hi:
+            continue
+        leaves += 1
+        v = solve(Query(net, box, OutputProperty(c)))
+        root = tuple(np.zeros(size, dtype=np.int8) for size in net.hidden_sizes)
+        x_lp = _solve_leaf(net, box, modes, root, c)
+        assert (v.status is Status.SAT) == (x_lp is not None), leaves
+        if x_lp is None:
+            unsat += 1
+            continue
+        assert np.all((v.witness == box.lower) | (v.witness == box.upper))
+        assert solver.is_witness(net, v.witness, c)
+        assert evaluate(net, v.witness)[0] >= evaluate(net, x_lp)[0] - 1e-9
+        corners += 1
+    assert corners > 50 and unsat > 20

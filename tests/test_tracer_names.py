@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from reluverify import MODES, InputBox, OutputProperty, Query, verify
+from reluverify import MODES, InputBox, Layer, Network, OutputProperty, Query, verify
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -38,10 +38,12 @@ def tracer():
         t.uninstall()
 
 
-def test_tracer_sees_every_wrapped_layer(tracer, query121, net121):
+def test_tracer_sees_every_wrapped_layer(tracer, query121):
     t, spans = tracer
-    # The output ranges over [680, 714]: the root cannot decide, so the leaf LP runs.
-    sat = Query(net121, InputBox([20.0], [21.0]), OutputProperty(700.0))
+    # The output -|x - 0.3| reaches c + EPSILON only within 1e-5 of x = 0.3,
+    # closer than sampling gets: the search branches and a leaf LP finds the witness.
+    net = Network([Layer([[1.0], [-1.0]], [-0.3, 0.3], True), Layer([[-1.0, -1.0]], [0.0], False)], 1)
+    sat = Query(net, InputBox([-1.0], [1.0]), OutputProperty(-1e-5))
     for qid, q in (("unsat", query121), ("sat", sat)):
         for mode in MODES:
             v, _ = t.call(f"{qid}:{mode}", q.network, verify, q, mode)
