@@ -34,7 +34,7 @@ member)`` and its guiding point, with the base network's and its own
 network's hidden values there.  The loop's re-split check reads the
 state's output at that point from them (``output_at``), and a next split
 at an equal point, as when the loop splits again at the kept
-counterexample or the solver's witness is again the box midpoint, reuses
+counterexample or the solver's witness is again the same box corner, reuses
 both, so no network is evaluated twice at one point.  The two
 re-derived layers are built with ``network._trusted_layer``: their arrays
 come from the checked base, so they are not copied or scanned again.

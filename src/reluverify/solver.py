@@ -15,8 +15,9 @@ depend only on the phases fixed in the layers below it, so by induction
 over the layers every point of the LP region lies in R, and there every
 neuron that is not branch-fixed is stable in the phase its bounds give.
 Its row is therefore implied, and the network equals the affine map the
-LP uses.  ``_assert_no_sat_leaf`` and ``harness.exhaustive_verdict``
-keep a row for every neuron, as the reference.
+LP uses.  ``first_feasible_completion``, the reference the tests and
+``harness.exhaustive_verdict`` check the search against, keeps a row for
+every neuron.
 
 A branch fixes the phase of a whole twin class: the neurons of the branch
 layer whose incoming weights and bias equal the chosen neuron's exactly
@@ -29,16 +30,20 @@ The root is bounded by an ``sbt`` call without phases: its phases are
 all unknown, which gives the same arrays, and the call reuses every layer
 ``bounds`` keeps for the query's box, such as the abstract bound of
 ``cegarette``'s gap, or the layers below a split that the network shares
-with the one it was split from.  A root that decides, or that is a leaf,
-is all the work a query does.
+with the one it was split from.  A root that prunes, that has a corner
+witness, or that is a leaf, is all the work a query does.
 
-A root leaf (every neuron stable) is first answered at a box corner.  The
-network is affine on the box there, so its maximum lies at the corner
+Every root the bound does not prune is first answered at one box corner,
 ``where(g > 0, upper, lower)``, with ``g`` the input gradient under the
-root's modes.  If the corner's exact output reaches ``c + EPSILON``, the
-falsifier's rule below, it is the witness and no LP is built.  Otherwise
-the leaf LP decides, so UNSAT still comes only from the LP, and a root
-leaf costs one LP only when the corner misses.
+root's modes and an unknown neuron counted as inactive.  If the corner's
+exact output reaches ``c + EPSILON``, the falsifier's rule below, it is
+the witness.  This one check covers two cases where a witness is known
+to exist: when the root's sound lower bound clears ``c + EPSILON`` every
+box point is one, and at a root leaf (every neuron stable) the network
+is affine on the box, so the corner is its maximum.  A root leaf whose
+corner misses goes to its leaf LP, so UNSAT still comes only from the
+LP, and a root leaf costs one LP only when the corner misses.  Any other
+root whose corner misses goes to the falsifier and then the search.
 
 The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
@@ -65,21 +70,19 @@ phase array and shares the others with its parent, which is safe because
 no code changes a phase array in place.
 
 Before the root branches, ``_falsify`` looks for a SAT witness by
-sampling.  It runs once per ``solve``, at the root, when the root bound
-has neither pruned nor given a midpoint witness, and only if the root is
-not a leaf, which the corner and at most one LP decide.  One numpy
-batch, the box midpoint and ``FALSIFY_SAMPLES`` uniform box points from a
-fixed seed, takes ``FALSIFY_STEPS`` signed-gradient steps clipped to the
-box.  A point
-counts only if its exact output reaches ``c + EPSILON``, which implies
-``is_witness``.  That is the leaf LP's reach rule, so when the maximum
-lies in the granularity band ``(c, c + EPSILON)`` the falsifier finds
-nothing and ``direct`` keeps its UNSAT answer.  After a miss the search
-runs as without the falsifier, and UNSAT still comes only from that
-complete search, so soundness and completeness are unchanged.  The two
-counts are constants, not options, and the fixed seed keeps verdicts and
-witnesses deterministic.  ``Verdict.sampled`` says whether the witness
-came from the falsifier.
+sampling.  It runs once per ``solve``, at a root that is not a leaf,
+when neither the prune nor the corner has decided it.  One numpy batch,
+the box midpoint and ``FALSIFY_SAMPLES`` uniform box points from a fixed
+seed, takes ``FALSIFY_STEPS`` signed-gradient steps clipped to the box.
+A point counts only if its exact output reaches ``c + EPSILON``, which
+implies ``is_witness``.  That is the leaf LP's reach rule, so when the
+maximum lies in the granularity band ``(c, c + EPSILON)`` the falsifier
+finds nothing and ``direct`` keeps its UNSAT answer.  After a miss the
+search runs as without the falsifier, and UNSAT still comes only from
+that complete search, so soundness and completeness are unchanged.  The
+two counts are constants, not options, and the fixed seed keeps verdicts
+and witnesses deterministic.  ``Verdict.sampled`` says whether the
+witness came from the falsifier.
 
 Tolerance policy.  Three constants fix every tolerance of a verdict:
 
@@ -216,12 +219,6 @@ def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
     raise SolverError("simplex produced a witness that fails concrete re-evaluation")
 
 
-def _assert_no_sat_leaf(net, box, phases, threshold):
-    """Debug check for pruned branches: no completion has a feasible leaf."""
-    x = first_feasible_completion(net, box, phases, threshold)
-    assert x is None, f"pruned branch contains a feasible leaf (witness {x})"
-
-
 def _falsify(net: Network, box: InputBox, c: float):
     """A box point reaching ``c + EPSILON`` found by sampling, or None.
 
@@ -275,7 +272,7 @@ def _widest_unknown(relu_modes, bm):
     return np.where(widths.max(axis=-1) == -np.inf, -1, widths.argmax(axis=-1))
 
 
-def solve(query: Query, timeout: float | None = None, check_prunes: bool = False) -> Verdict:
+def solve(query: Query, timeout: float | None = None) -> Verdict:
     """Decide a query: UNSAT, SAT with witness, or TIMEOUT.
 
     UNSAT and SAT promise what the module docstring states.  A NaN timeout,
@@ -299,26 +296,18 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
     root = tuple(np.zeros(sz, dtype=np.int8) for sz in net.hidden_sizes)
     nodes = 1
     relu_modes, bm = sbt(net, box)
-    lo_out, hi_out = bm.output_interval
-    if hi_out <= c:
-        if check_prunes:
-            _assert_no_sat_leaf(net, box, root, c)
+    if bm.output_interval[1] <= c:
         return verdict(Status.UNSAT)
-    if lo_out >= c + EPSILON:
-        # Every box point is a witness when the sound lower bound clears c.
-        mid = box.midpoint()
-        if is_witness(net, mid, c):
-            return verdict(Status.SAT, mid)
+    # The corner the input gradient under the root modes points to, an
+    # unknown neuron counted as inactive.
+    g = net.layers[-1].weights[0]
+    for layer, mode in zip(reversed(net.layers[:-1]), reversed(relu_modes)):
+        g = (g * (mode == ACTIVE)) @ layer.weights
+    x = np.where(g > 0.0, box.upper, box.lower)
+    if evaluate(net, x)[0] >= c + EPSILON:
+        return verdict(Status.SAT, x)
     branch = int(_widest_unknown(relu_modes, bm))
     if branch < 0:
-        # The network is affine on the box, so its maximum is at the corner
-        # the input gradient under the root modes points to.
-        g = net.layers[-1].weights[0]
-        for layer, mode in zip(reversed(net.layers[:-1]), reversed(relu_modes)):
-            g = (g * (mode == ACTIVE)) @ layer.weights
-        x = np.where(g > 0.0, box.upper, box.lower)
-        if evaluate(net, x)[0] >= c + EPSILON:
-            return verdict(Status.SAT, x)
         x = _solve_leaf(net, box, relu_modes, root, c)
         return verdict(Status.UNSAT) if x is None else verdict(Status.SAT, x)
     x = _falsify(net, box, c)
@@ -364,16 +353,15 @@ def solve(query: Query, timeout: float | None = None, check_prunes: bool = False
         pushed = []
         for n, node in enumerate(batch):
             if closed[n]:
-                if check_prunes:
-                    _assert_no_sat_leaf(net, box, node, c)
-            elif branches[n] >= 0:
+                continue
+            if branches[n] >= 0:
                 pushed += children(node, int(branches[n]))
-            else:
-                if timed_out():
-                    return verdict(Status.TIMEOUT)
-                x = _solve_leaf(net, box, tuple(mode[n] for mode in relu_modes), node, c)
-                if x is not None:
-                    return verdict(Status.SAT, x)
+                continue
+            if timed_out():
+                return verdict(Status.TIMEOUT)
+            x = _solve_leaf(net, box, tuple(mode[n] for mode in relu_modes), node, c)
+            if x is not None:
+                return verdict(Status.SAT, x)
         stack += reversed(pushed)
 
     return verdict(Status.UNSAT)

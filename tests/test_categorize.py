@@ -2,9 +2,34 @@ import numpy as np
 import pytest
 
 from reluverify import Layer, Network, evaluate, generate_benchmarks, load_network, preprocess
-from reluverify.categorize import CATEGORY_NAMES, check_category_invariants
+from reluverify.categorize import CATEGORY_NAMES, CategorizedNetwork
 
 from conftest import forward_batch, random_network, sample_box, random_box
+
+
+def check_category_invariants(cat: CategorizedNetwork) -> None:
+    """Raise AssertionError unless every edge respects its source's category.
+
+    Exact sign checks: pos sources have only >= 0 outgoing weights, neg only
+    <= 0; inc sources feed inc targets non-negatively and dec targets
+    non-positively (dually for dec).
+    """
+    net = cat.network
+    for k in range(len(net.layers) - 1):
+        W = net.layers[k + 1].weights  # rows: layer k+1 targets
+        codes = cat.categories[k]
+        if k + 1 < len(net.layers) - 1:
+            target_dec = cat.categories[k + 1] & 1
+        else:
+            target_dec = np.zeros(W.shape[0], dtype=np.int8)
+        same = target_dec[:, None] == (codes & 1)
+        wrong_sign = np.where(codes & 2, W > 0.0, W < 0.0)
+        wrong_direction = np.where(W > 0.0, ~same, (W < 0.0) & same)
+        for rule, wrong in (("sign", wrong_sign), ("direction", wrong_direction)):
+            t, j = np.unravel_index(np.argmax(wrong), W.shape)
+            assert not wrong[t, j], (
+                f"neuron ({k},{j}) {CATEGORY_NAMES[codes[j]]}: edge {W[t, j]} to target {t} has the wrong {rule}"
+            )
 
 
 def _names(cat) -> list[list[str]]:

@@ -133,12 +133,13 @@ def test_errors_building_network_or_query_name_the_file(query_files, capsys, whi
 
 
 def test_out_reports_sampled_counterexamples(tmp_path):
-    # y = |x| - 0.5 on [-1, 1] with c = 0: the root is unstable and the
-    # midpoint misses c, so the falsifier finds the witness in every mode.
-    net = Network([Layer([[1.0], [-1.0]], [0.0, 0.0], True), Layer([[1.0, 1.0]], [-0.5], False)], 1)
+    # y = 0.5 - |x - 0.3| on [-1, 1] with c = 0.4: the root is unstable,
+    # and its corner x = -1 (every unknown neuron counted inactive) misses
+    # c, so the falsifier finds the witness in every mode.
+    net = Network([Layer([[1.0], [-1.0]], [-0.3, 0.3], True), Layer([[-1.0, -1.0]], [0.5], False)], 1)
     net_path, prop_path, out = tmp_path / "net.json", tmp_path / "prop.json", tmp_path / "run.json"
     save_network(net, net_path)
-    save_query(Query(net, InputBox([-1.0], [1.0]), OutputProperty(0.0)), prop_path)
+    save_query(Query(net, InputBox([-1.0], [1.0]), OutputProperty(0.4)), prop_path)
     for mode in MODES:
         assert main(["verify", "--net", str(net_path), "--prop", str(prop_path), "--mode", mode, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())

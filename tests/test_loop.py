@@ -13,11 +13,13 @@ from reluverify import (
     OutputProperty,
     Query,
     Status,
+    abstract_to_saturation,
     evaluate,
+    preprocess,
     verify,
 )
 from reluverify import bounds, loop, solver
-from reluverify.abstraction import _make_state
+from reluverify.abstraction import _make_state, refine_split
 from reluverify.loop import is_genuine
 
 from conftest import (
@@ -170,18 +172,19 @@ def test_timeout_reports_cumulative_nodes(query121, monkeypatch):
 
 
 def test_sampled_counterexamples_are_counted(monkeypatch):
-    # The first abstract solve branches at its root, where the falsifier
-    # finds a spurious counterexample; one split then proves UNSAT.  With
-    # the falsifier off, the search finds the counterexample instead.
+    # The first abstract solve branches at its root, where the corner
+    # misses and the falsifier finds a spurious counterexample; one split
+    # then proves UNSAT.  With the falsifier off, the search finds the
+    # counterexample instead.
     net = Network(
         [
-            Layer([[-0.9, 0.9], [-0.4, -0.7]], [0.3, -0.2], True),
-            Layer([[0.4, 0.1], [-0.6, 0.7]], [-0.2, -0.1], True),
-            Layer([[0.6, 0.8]], [0.0], False),
+            Layer([[0.4, -0.2], [-0.7, 0.4]], [0.0, -0.2], True),
+            Layer([[0.0, 0.8], [0.9, -0.3]], [0.1, -0.2], True),
+            Layer([[0.6, 0.3]], [0.0], False),
         ],
         2,
     )
-    q = Query(net, InputBox([-1.0, -1.0], [1.0, 1.0]), OutputProperty(0.6))
+    q = Query(net, InputBox([-1.0, -1.0], [1.0, 1.0]), OutputProperty(0.5))
     assert oracle_verdict(q) == "UNSAT"
     for sampled in (1, 0):
         for mode in ("cegar", "cegarette"):
@@ -322,6 +325,36 @@ def test_timeout_inside_a_re_split_chain(monkeypatch):
     assert v.time == stats.total_time >= 1e6
     assert [e[0] for e in events] == kinds[:3]
     assert stats.iterations == 3 and stats.resplits == 2 and len(stats.solver_times) == 1
+
+
+def test_kept_point_inside_the_granularity_band_is_solved(monkeypatch):
+    # The first solve's witness x0 is the abstract root's corner, which does
+    # not depend on c.  c is placed so that x0's output on the network split
+    # at x0 is c + EPSILON / 2, inside [c, c + EPSILON): x0 is not a witness
+    # there by the falsifier's rule, so the loop must solve that network,
+    # not split again.
+    rng = np.random.default_rng(87)
+    box = InputBox([0.0, 0.0], [1.0, 1.0])
+    events = _record_solves_and_splits(monkeypatch)
+    checked = 0
+    while checked < 5:
+        net = random_network(rng, n_inputs=2, n_layers=2, max_width=3)
+        state = abstract_to_saturation(preprocess(net), nonneg_inputs=True)
+        if state.excess == 0:
+            continue
+        v = solver.solve(Query(state.network, box, OutputProperty(-1e3)))
+        x0 = v.witness
+        split = refine_split(state, x0)
+        c = split.output_at(x0) - solver.EPSILON / 2
+        q = Query(net, box, OutputProperty(c))
+        if split.excess == 0 or evaluate(state.network, x0)[0] < c + solver.EPSILON or is_genuine(q, x0):
+            continue
+        assert not v.sampled
+        events.clear()
+        verify(q, "cegar")
+        assert [e[0] for e in events[:3]] == ["solve", "split", "solve"], checked
+        assert np.array_equal(events[1][2], x0) and events[2][1].network is not state.network
+        checked += 1
 
 
 def test_splits_name_the_layer_whose_groups_changed(abstraction_states):

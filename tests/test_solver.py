@@ -102,19 +102,75 @@ def test_agreement_with_exhaustive_oracle():
     assert n_sat > 10 and n_unsat > 10  # the suite genuinely mixes verdicts
 
 
-def test_pruned_branches_contain_no_sat_leaf():
+def _solve_checking_prunes(query, monkeypatch):
+    """``solve(query)``, with its prunes checked against the reference.
+
+    Every ``solver.sbt`` call ``solve`` makes is recorded, and each node's
+    closed flag is recomputed by the rule the ``solver`` docstring states:
+    the output upper bound is at most ``c``, or a fixed phase conflicts with
+    its pre-activation interval (the root by its bound alone).
+    ``first_feasible_completion`` must find no witness in a closed node.  On
+    UNSAT, where the search visits every node it opens, the nodes ``solve``
+    closed must be exactly these: the ones no later node extends and no
+    leaf LP was given.
+    """
+    net, box, c = query.network, query.input, query.output.threshold
+    bounded, leaves = [], []
+    real_sbt, real_leaf = solver.sbt, solver._solve_leaf
+
+    def recording_sbt(net, box, phases=None):
+        relu_modes, bm = real_sbt(net, box, phases)
+        if phases is None:
+            root = [np.zeros((1, size), dtype=np.int8) for size in net.hidden_sizes]
+            bounded.append((root, np.array([bm.output_interval[1] <= c])))
+        else:
+            closed = bm.pre[-1][1][:, 0] <= c
+            for ph, (plo, phi) in zip(phases, bm.pre):
+                closed |= np.any(((ph == 1) & (phi < 0)) | ((ph == -1) & (plo > 0)), axis=1)
+            bounded.append((phases, closed))
+        return relu_modes, bm
+
+    def recording_leaf(net, box, modes, phases, threshold):
+        leaves.append(np.concatenate(phases))
+        return real_leaf(net, box, modes, phases, threshold)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "sbt", recording_sbt)
+        m.setattr(solver, "_solve_leaf", recording_leaf)
+        v = solve(query)
+    nodes = np.vstack([np.hstack(phases) for phases, _ in bounded])
+    closed = np.concatenate([closed for _, closed in bounded])
+    for i in np.flatnonzero(closed):
+        node = tuple(np.split(nodes[i], np.cumsum(net.hidden_sizes)[:-1]))
+        x = first_feasible_completion(net, box, node, c)
+        assert x is None, f"pruned node contains a feasible leaf (witness {x})"
+    if v.status is Status.UNSAT:
+        for i, node in enumerate(nodes):
+            later = nodes[i + 1 :]
+            extended = np.any(np.all((node == 0) | (later == node), axis=1) & np.any(later != node, axis=1))
+            solved = any(np.array_equal(node, leaf) for leaf in leaves)
+            assert closed[i] == (not extended and not solved), f"node {node} closed {closed[i]}"
+    return v
+
+
+def test_pruned_branches_contain_no_sat_leaf(monkeypatch):
+    # With the root falsifier off, the search also runs on SAT queries the
+    # corner misses, so nodes close on the way to a witness too.
     rng = np.random.default_rng(72)
+    queries = []
     for _ in range(30):
         net = random_network(rng, n_layers=2, max_width=3)
         q = random_query(rng, net=net)
-        truth = oracle_verdict(q)
-        twins = Query(preprocess(net).network, q.input, q.output)
-        for query in (q, twins):
-            v = solve(query, check_prunes=True)  # asserts internally on every prune
-            assert v.status.value == truth
+        queries.append((q, oracle_verdict(q)))
+        queries.append((Query(preprocess(net).network, q.input, q.output), queries[-1][1]))
+    for query, truth in queries:
+        assert _solve_checking_prunes(query, monkeypatch).status.value == truth
+    monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
+    for query, truth in queries:
+        assert _solve_checking_prunes(query, monkeypatch).status.value == truth
 
 
-def test_twin_branch_at_zero_pre_activation():
+def test_twin_branch_at_zero_pre_activation(monkeypatch):
     # Two twin copies of ReLU(x) and one ReLU(-x): y = x for x <= 0 and
     # y = -2x for x >= 0, so the maximum 0 lies exactly where the twins'
     # pre-activation is 0, the one point where their mixed phase is
@@ -129,7 +185,7 @@ def test_twin_branch_at_zero_pre_activation():
     for c, truth in ((-2 * EPSILON, "SAT"), (-EPSILON / 2, "UNSAT"), (EPSILON, "UNSAT")):
         q = Query(net, box, OutputProperty(c))
         assert exhaustive_verdict(q) == truth
-        v = solve(q, check_prunes=True)
+        v = _solve_checking_prunes(q, monkeypatch)
         assert v.status.value == truth, c
         if v.status is Status.SAT:
             assert evaluate(net, v.witness)[0] > c - 1e-9
@@ -491,3 +547,46 @@ def test_root_leaf_corner_agrees_with_the_leaf_lp():
         assert evaluate(net, v.witness)[0] >= evaluate(net, x_lp)[0] - 1e-9
         corners += 1
     assert corners > 50 and unsat > 20
+
+
+def _no_falsifier(net, box, c):
+    raise AssertionError("the root corner should have decided this query")
+
+
+def test_root_lower_bound_clearing_c_gives_a_corner_witness(monkeypatch):
+    # Roots with an unknown neuron whose sound output lower bound clears
+    # c + EPSILON: every box point is a witness, so the corner is one, and
+    # solve answers at the root without the falsifier.
+    monkeypatch.setattr(solver, "_falsify", _no_falsifier)
+    rng = np.random.default_rng(88)
+    checked = 0
+    while checked < 100:
+        net = random_network(rng, n_inputs=int(rng.integers(1, 4)))
+        center = rng.uniform(-1.0, 1.0, size=net.input_size)
+        half = rng.uniform(0.05, 0.5, size=net.input_size)
+        box = InputBox(center - half, center + half)
+        modes, bm = solver.sbt(net, box)
+        if all(np.all(mode != 0) for mode in modes):
+            continue
+        c = bm.output_interval[0] - rng.uniform(EPSILON, 1.0)
+        v = solve(Query(net, box, OutputProperty(c)))
+        assert v.status is Status.SAT and v.nodes == 1 and not v.sampled
+        assert np.all((v.witness == box.lower) | (v.witness == box.upper))
+        assert evaluate(net, v.witness)[0] >= c + EPSILON
+        checked += 1
+
+
+def test_root_corner_is_a_witness_where_the_midpoint_is_not(monkeypatch):
+    # y = 0.1 relu(x) + relu(x + 2) - 2 on [-1, 1]: relu(x) is unknown at the
+    # root, so the root is not a leaf, and counted inactive it leaves the
+    # gradient 1, which points to x = 1, where y = 1.1.  The midpoint gives
+    # y = 0, below c = 0.5.
+    monkeypatch.setattr(solver, "_falsify", _no_falsifier)
+    net = Network([Layer([[1.0], [1.0]], [0.0, 2.0], True), Layer([[0.1, 1.0]], [-2.0], False)], 1)
+    box = InputBox([-1.0], [1.0])
+    modes, _ = solver.sbt(net, box)
+    assert modes[0].tolist() == [0, 1]
+    assert not solver.is_witness(net, box.midpoint(), 0.5)
+    v = solve(Query(net, box, OutputProperty(0.5)))
+    assert v.status is Status.SAT and v.nodes == 1 and not v.sampled
+    assert v.witness.tolist() == [1.0]
