@@ -17,6 +17,8 @@ from .formats import FormatError, load_network, load_query, write_json
 from .harness import LABEL_SOURCES, generate_benchmarks, run_bench
 from .loop import MODES, verify
 from .network import ValidationError
+from .simplex import SimplexError
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,6 +141,9 @@ def main(argv=None) -> int:
     except (FormatError, ValidationError, OSError) as e:
         print(f"reluverify: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (SolverError, SimplexError) as e:
+        print(f"reluverify: numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -21,9 +21,9 @@ the one tightened for the network in hand, for the check and the solve
 alike, never a previous one's: a split can change the certified gap
 either way, and an UNSAT answer against a gap the network does not have
 need not carry over to the original.  Each
-network's hidden values at ``x0`` are computed once, when ``refine_split``
-builds it, and serve both this check and the next split's choice.  The
-time limit is checked before each split.  Such an iteration counts in
+network's hidden values at ``x0`` are computed once, from the split layer
+on, when ``refine_split`` builds it, and serve both this check and the next
+split's choice.  The time limit is checked before each split.  Such an iteration counts in
 ``RunStats.iterations`` and ``resplits`` and has no entry in
 ``solver_times``.
 

@@ -15,6 +15,7 @@ from reluverify import (
 from reluverify.abstraction import (
     _aggregate,
     _collapse,
+    _guide_at,
     _layer_order,
     _make_state,
     _split_choice,
@@ -296,7 +297,7 @@ def test_split_choice_matches_loop_reference():
                 np.zeros(net.input_size),
             ):
                 v_base, v_abs = hidden_values(base.network, x0), hidden_values(state.network, x0)
-                got = _split_choice(state, x0, np.concatenate(v_base))
+                got = _split_choice(_guide_at(state, x0).scores)
                 assert got == _loop_split_choice(state, x0), trial
                 scores = [
                     base.outgoing_weight[k][m] * abs(v_base[k][m] - v_abs[k][gi])
@@ -329,7 +330,10 @@ def test_collapse_and_column_sums_match_loop_references():
             n_in = layer.weights.shape[1]
             subset = list(rng.choice(n_in, size=int(rng.integers(1, n_in + 1)), replace=False))
             for cols in (slice(None), subset):
-                W, b = _collapse(base, k, _layer_order(groups), cols)
+                # A split takes its next layer's new columns from the
+                # collapsed rows of all columns.
+                W, b = _collapse(base, k, _layer_order(groups))
+                W = W[:, cols]
                 W_ref, b_ref = _loop_collapse(base, k, groups, cols)
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes(), trial
             after = base.network.layers[k + 1].weights
@@ -363,16 +367,17 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
         last = len(net.layers) - 2
         while state.excess > 0:
             x0 = box.midpoint() if rng.random() < 0.5 else rng.uniform(box.lower, box.upper)
-            reused += state.guide is not None and np.array_equal(state.guide[0], x0)
+            reused += state.guide is not None and np.array_equal(state.guide.point, x0)
             new = refine_split(state, x0)
             L, member = new.split
             assert [k for k in range(last + 1) if new.groups[k] != state.groups[k]] == [L]
             assert (member,) in new.groups[L]
-            assert np.array_equal(new.guide[0], x0)
-            assert np.array_equal(new.guide[1], np.concatenate(hidden_values(base.network, x0)))
+            assert np.array_equal(new.guide.point, x0)
+            v_base = np.concatenate(hidden_values(base.network, x0))
+            assert np.array_equal(np.concatenate(new.guide.base_values), v_base)
             own = hidden_values(new.network, x0)
-            assert len(new.guide[2]) == len(own)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(new.guide[2], own))
+            assert len(new.guide.values) == len(own)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new.guide.values, own))
             assert new.output_at(x0) == evaluate(new.network, x0)[0]
             for kept, layer_groups in zip(new.orders, new.groups):
                 for got, want in zip(kept, _layer_order(layer_groups)):
@@ -393,3 +398,47 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
             seen.add("first" if L == 0 else "last" if L == last else "inner")
             state = new
     assert seen == {"first", "inner", "last"} and reused > 50
+
+
+def _bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_refinement_chains_match_a_from_scratch_rebuild():
+    # Seeded chains in which each point guides 1 to 4 splits in a row, as
+    # the loop's re-split at the kept counterexample does, before a fresh
+    # one, on non-negative and signed boxes.  At every split the choice,
+    # the kept state and the kept values and scores at the point must equal
+    # a from-scratch rebuild byte for byte.
+    rng = np.random.default_rng(40)
+    splits, reused, seen = 0, 0, set()
+    for trial in range(40):
+        net = random_network(rng, n_layers=int(rng.integers(1, 5)), max_width=8)
+        base = preprocess(net)
+        nonneg = trial % 2 == 0
+        box = random_box(rng, net.input_size, nonneg=nonneg)
+        state = abstract_to_saturation(base, nonneg_inputs=nonneg)
+        last = len(net.layers) - 2
+        while state.excess > 0:
+            x0 = rng.uniform(box.lower, box.upper)
+            for _ in range(min(int(rng.integers(1, 5)), state.excess)):
+                reused += state.guide is not None and np.array_equal(state.guide.point, x0)
+                new = refine_split(state, x0)
+                assert new.split == _loop_split_choice(state, x0), trial
+                ref = _make_state(base, new.groups)
+                assert new.excess == ref.excess == state.excess - 1
+                assert new.groups == ref.groups
+                for got, want in zip(new.orders, ref.orders):
+                    assert _bytes(got) == _bytes(want), trial
+                assert _bytes(new.collapsed) == _bytes(ref.collapsed), trial
+                for got, want in zip(new.network.layers, _aggregate(base, new.groups).layers):
+                    assert _bytes([got.weights, got.biases]) == _bytes([want.weights, want.biases]), trial
+                    assert got.relu == want.relu
+                assert _bytes(new.guide.values) == _bytes(hidden_values(new.network, x0)), trial
+                assert _bytes(new.guide.scores) == _bytes(_guide_at(ref, x0).scores), trial
+                L = new.split[0]
+                seen.add(("first" if L == 0 else "last" if L == last else "inner", nonneg))
+                splits += 1
+                state = new
+    assert splits > 500 and reused > 200, (splits, reused)
+    assert {"first", "inner", "last"} == {where for where, _ in seen} and {True, False} == {s for _, s in seen}

@@ -74,6 +74,20 @@ def test_internal_error_exit_2(query_files, monkeypatch):
     assert main(["verify", "--net", net, "--prop", prop]) == 2
 
 
+def test_numerical_failure_exits_2_with_one_line(tmp_path, capsys):
+    # y = relu(x + 1e12) - 1e12 is x in real arithmetic, but 0 in float64 on
+    # [0, 1e-5]: the leaf LP's witness for c = 5e-6 fails re-evaluation in
+    # every mode, and the CLI names that failure in one line.
+    net = Network([Layer([[1.0]], [1e12], True), Layer([[1.0]], [-1e12], False)], 1)
+    net_path, prop_path = tmp_path / "net.json", tmp_path / "prop.json"
+    save_network(net, net_path)
+    save_query(Query(net, InputBox([0.0], [1e-5]), OutputProperty(5e-6)), prop_path)
+    for mode in MODES:
+        assert main(["verify", "--net", str(net_path), "--prop", str(prop_path), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reluverify: numerical failure: SolverError: ") and err.count("\n") == 1, mode
+
+
 def test_missing_file_exit_1(tmp_path, query_files):
     net, _ = query_files
     assert main(["verify", "--net", net, "--prop", str(tmp_path / "nope.json")]) == 1

@@ -21,6 +21,7 @@ from reluverify import (
 )
 from reluverify import solver
 from reluverify.bounds import BoundsMap
+from reluverify.harness import _gen_oracle_query
 from reluverify.simplex import SimplexError, feasible_point
 from reluverify.solver import (
     EPSILON,
@@ -102,17 +103,17 @@ def test_agreement_with_exhaustive_oracle():
     assert n_sat > 10 and n_unsat > 10  # the suite genuinely mixes verdicts
 
 
-def _solve_checking_prunes(query, monkeypatch):
+def _solve_checking_prunes(query, monkeypatch, completions=True):
     """``solve(query)``, with its prunes checked against the reference.
 
     Every ``solver.sbt`` call ``solve`` makes is recorded, and each node's
     closed flag is recomputed by the rule the ``solver`` docstring states:
     the output upper bound is at most ``c``, or a fixed phase conflicts with
-    its pre-activation interval (the root by its bound alone).
-    ``first_feasible_completion`` must find no witness in a closed node.  On
-    UNSAT, where the search visits every node it opens, the nodes ``solve``
-    closed must be exactly these: the ones no later node extends and no
-    leaf LP was given.
+    its pre-activation interval (the root by its bound alone).  With
+    ``completions``, ``first_feasible_completion`` must find no witness in a
+    closed node.  On UNSAT, where the search visits every node it opens, the
+    nodes ``solve`` closed must be exactly these: the ones no later node
+    extends and no leaf LP was given.  That check needs no LP.
     """
     net, box, c = query.network, query.input, query.output.threshold
     bounded, leaves = [], []
@@ -140,7 +141,7 @@ def _solve_checking_prunes(query, monkeypatch):
         v = solve(query)
     nodes = np.vstack([np.hstack(phases) for phases, _ in bounded])
     closed = np.concatenate([closed for _, closed in bounded])
-    for i in np.flatnonzero(closed):
+    for i in np.flatnonzero(closed) if completions else ():
         node = tuple(np.split(nodes[i], np.cumsum(net.hidden_sizes)[:-1]))
         x = first_feasible_completion(net, box, node, c)
         assert x is None, f"pruned node contains a feasible leaf (witness {x})"
@@ -168,6 +169,22 @@ def test_pruned_branches_contain_no_sat_leaf(monkeypatch):
     monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
     for query, truth in queries:
         assert _solve_checking_prunes(query, monkeypatch).status.value == truth
+
+
+def test_unsat_searches_close_exactly_the_documented_nodes(monkeypatch):
+    # The closed-set check alone, with no LP per closed node, is cheap
+    # enough for many searches: 120 seeded oracle queries with the falsifier
+    # off.  It catches a prune that closes a node the rule keeps open, as a
+    # phase-conflict test loosened to ``phi < 0.05`` does.
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
+    searches = 0
+    for _ in range(120):
+        q, truth = _gen_oracle_query(rng)
+        v = _solve_checking_prunes(q, monkeypatch, completions=False)
+        assert v.status.value == truth
+        searches += v.status is Status.UNSAT and v.nodes > 1
+    assert searches >= 10
 
 
 def test_twin_branch_at_zero_pre_activation(monkeypatch):
