@@ -27,6 +27,17 @@ every relaxed row: propagation never refutes a system the tableau solves.
 Every other system goes to the unchanged tableau on the original box, so a
 feasible system returns the same point, bit for bit, as without the
 presolve, and no witness or search decision built on it can change.
+
+The presolve also takes K systems over one box at once, ``A`` of shape
+``(K, m, n)``, as ``solver.solve`` builds them for a batch's leaves, and
+gives one flag per system, the one-system answer on that slice: a system
+leaves the stack once it is decided, so it runs the checks and sweeps it
+would run alone, and ``@`` over a leading axis runs the one-system
+product on each slice.  A system with fewer rows is padded with neutral
+rows, zero rows with right-hand side 0, which every box point meets and
+which bound no variable, so the padding changes no flag.  (A one-row
+system padded this way runs sweeps, but they leave its one slack as it
+was and cannot refute it.)
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ import numpy as np
 # Cap on the presolve's tightening sweeps (see "Presolve" above); the first
 # sweeps do almost all of the refuting.
 PRESOLVE_SWEEPS = 3
+
+# The tableau's default feasibility margin, which the presolve shares.
+FEAS_TOL = 1e-8
 
 
 class SimplexError(RuntimeError):
@@ -49,7 +63,7 @@ def feasible_point(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float = 1e-9,
-    feas_tol: float = 1e-8,
+    feas_tol: float = FEAS_TOL,
 ) -> np.ndarray | None:
     """Return some x with ``A x <= b`` inside the box, or None if infeasible."""
     A, b, lo, hi = _system(A, b, lo, hi)
@@ -72,7 +86,7 @@ def _system(A, b, lo, hi):
     return A, b, lo, hi
 
 
-def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> bool:
+def _propagation_refutes(A, b, lo, hi, feas_tol: float):
     """True if bound propagation proves that no box point meets every row
     of ``A x <= b`` relaxed by ``feas_tol`` times the row's tableau scale.
 
@@ -81,34 +95,65 @@ def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> bool:
     bounds shrink by every row's slack and the minima are checked again over
     the shrunken box.  Propagation stops early once no bound moves.  Bounds
     that cross refute only when they cross by more than ``feas_tol``.
+
+    ``A`` of shape ``(K, m, n)`` and ``b`` of shape ``(K, m)`` stack K
+    systems over the one box and give a bool array, one flag per system;
+    ``(m, n)`` and ``(m,)`` give a ``bool``.
     """
-    m = A.shape[0]
-    if m == 0:
-        return False
-    b = b + feas_tol * np.maximum(np.abs(A).max(axis=1), 1.0)
+    b = b + feas_tol * np.maximum(np.abs(A).max(axis=-1), 1.0)
     Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
     slack = b - Ap @ lo - An @ hi
-    if (slack < 0.0).any():
-        return True
-    if m == 1:
-        return False  # one row is met somewhere in the box if its minimum meets it
+    refuted = (slack < 0.0).any(axis=-1)
+    # One row is met somewhere in the box if its minimum meets it.
+    if A.ndim == 2:
+        if refuted or A.shape[0] <= 1:
+            return bool(refuted)
+        return bool(_sweeps_refute(A[None], b[None], Ap[None], An[None], slack[None], lo, hi, feas_tol)[0])
+    if A.shape[1] <= 1 or refuted.all():
+        return refuted
+    live = np.flatnonzero(~refuted)
+    refuted[live] = _sweeps_refute(A[live], b[live], Ap[live], An[live], slack[live], lo, hi, feas_tol)
+    return refuted
+
+
+def _times(M, v):
+    """``M @ v`` with ``v`` as a one-column matrix, so that a stacked ``M``
+    runs the one-system product on each slice."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _sweeps_refute(A, b, Ap, An, slack, lo, hi, feas_tol: float) -> np.ndarray:
+    """The sweeps of ``_propagation_refutes`` over K stacked systems that
+    pass the first check, one flag per system.  A system leaves the stack
+    once it is decided, so each runs exactly the sweeps it would run alone."""
+    refuted = np.zeros(A.shape[0], dtype=bool)
+    live = np.arange(A.shape[0])
     pos, neg = A > 0.0, A < 0.0
     inv = np.divide(1.0, A, out=np.zeros_like(A), where=pos | neg)
     for _ in range(PRESOLVE_SWEEPS):
         # Row i bounds x_j by its slack: a_ij > 0 caps x_j at lo_j + slack_i / a_ij,
         # and a_ij < 0 lifts it to hi_j + slack_i / a_ij.
-        step = slack[:, None] * inv
-        new_hi = np.minimum(hi, np.where(pos, lo + step, np.inf).min(axis=0))
-        new_lo = np.maximum(lo, np.where(neg, hi + step, -np.inf).max(axis=0))
-        if (new_lo > new_hi).any():
-            return bool((new_lo > new_hi + feas_tol).any())
-        if (new_lo == lo).all() and (new_hi == hi).all():
-            return False
+        step = slack[..., None] * inv
+        new_hi = np.minimum(hi, np.where(pos, lo[..., None, :] + step, np.inf).min(axis=1))
+        new_lo = np.maximum(lo, np.where(neg, hi[..., None, :] + step, -np.inf).max(axis=1))
+        crossed = (new_lo > new_hi).any(axis=1)
+        go = ~crossed & ((new_lo != lo).any(axis=1) | (new_hi != hi).any(axis=1))
         lo, hi = new_lo, new_hi
-        slack = b - Ap @ lo - An @ hi
-        if (slack < 0.0).any():
-            return True
-    return False
+        if not go.all():
+            refuted[live[crossed]] = (lo[crossed] > hi[crossed] + feas_tol).any(axis=1)
+            if not go.any():
+                break
+            live, b, Ap, An, pos, neg, inv, lo, hi = (a[go] for a in (live, b, Ap, An, pos, neg, inv, lo, hi))
+        slack = b - _times(Ap, lo) - _times(An, hi)
+        met = ~(slack < 0.0).any(axis=1)
+        if not met.all():
+            refuted[live[~met]] = True
+            if not met.any():
+                break
+            live, b, Ap, An, pos, neg, inv, lo, hi, slack = (
+                a[met] for a in (live, b, Ap, An, pos, neg, inv, lo, hi, slack)
+            )
+    return refuted
 
 
 def _tableau(A, b, lo, hi, tol: float, feas_tol: float) -> np.ndarray | None:

@@ -49,8 +49,15 @@ The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
 ``sbt`` call, whose phases carry a leading node axis.  The
 phase-conflict check, the prune and the branch choice then run over the
-whole batch at once, and each leaf still gets its own LP, with the time
-limit checked before every one.  Each node is bounded from the input:
+whole batch at once, and so do the batch's leaf LPs up to their presolve.
+One ``_leaf_rows`` call builds the rows of every leaf, with a zero row
+and right-hand side 0 in place of each row a leaf does not keep, and one
+``simplex._propagation_refutes`` call refutes most of the leaves.  The
+survivors, each with its zero rows dropped, which gives the rows of a
+one-leaf call byte for byte, go in node order to the leaf rule
+``_leaf_witness`` and its ``feasible_point``.  The time limit is checked
+before the batch's presolve and before every survivor's LP.  Each node
+is bounded from the input:
 ``sbt`` gives every node of a batch the arrays of a one-node call on its
 phases.  A node's bound therefore depends only on its phases, so the
 same node is closed, branched the same way or sent to the same LP
@@ -95,12 +102,15 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
   tolerances for re-solving a leaf, once, whose first run failed
   numerically or returned a marginal point; the first run uses the simplex
   defaults.  This holds for every leaf LP, the reference enumeration's
-  (``first_feasible_completion``) included: ``_solve_leaf`` is the one
+  (``first_feasible_completion``) included: ``_leaf_witness`` is the one
   place an LP answer becomes a witness or None.
 
 The simplex's bound-propagation presolve (at most
 ``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
-refutes a leaf only past the ``feas_tol`` margin the tableau applies.
+refutes a leaf only past the ``feas_tol`` margin the tableau applies.  A
+batch's presolve uses the first run's margin, ``simplex.FEAS_TOL``, and
+refutes exactly the leaves whose first ``feasible_point`` would refute
+them, which that run returns None for without a retry.
 """
 
 from __future__ import annotations
@@ -115,7 +125,7 @@ import numpy as np
 
 from .bounds import ACTIVE, INACTIVE, UNKNOWN, sbt
 from .network import InputBox, Network, Query, evaluate
-from .simplex import SimplexError, feasible_point
+from .simplex import FEAS_TOL, SimplexError, _propagation_refutes, feasible_point
 
 EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
@@ -169,18 +179,36 @@ def _leaf_rows(net: Network, modes, phases, target: float):
     Exact affine propagation: under a full phase assignment ``modes`` each
     layer's pre-activations are an affine map ``C x + d`` of the input.
     Passing ``modes`` itself as ``phases`` gives a row for every neuron.
+
+    ``modes`` and ``phases`` may carry a leading node axis, one ``(K, n_k)``
+    array per hidden layer, as ``sbt``'s do.  Then every node gets a row per
+    neuron and the output, ``A`` of shape ``(K, rows, n)``, and each row
+    that is not branch-fixed is a zero row with right-hand side 0, which no
+    box point misses.  Dropping those rows from node n's slice gives, byte
+    for byte, the one-node call: ``d`` is multiplied as a one-column matrix,
+    and ``@`` over a leading axis runs the one-node product on each slice.
     """
-    C, d = net.layers[0].weights, net.layers[0].biases
+    C, d = net.layers[0].weights, net.layers[0].biases[:, None]
     rows, rhs = [], []
     for layer, mode in zip(net.layers[1:], modes):
-        active = mode == ACTIVE
-        rows.append(np.where(active[:, None], -C, C))
+        active = (mode == ACTIVE)[..., None]
+        rows.append(np.where(active, -C, C))
         rhs.append(np.where(active, d, -d))
-        C, d = layer.weights @ (C * active[:, None]), layer.weights @ (d * active) + layer.biases
-    rows.append(-C[:1])
-    rhs.append(d[:1] - target)
-    keep = np.concatenate([*phases, [ACTIVE]]) != UNKNOWN
-    return np.vstack(rows)[keep], np.concatenate(rhs)[keep]
+        C, d = layer.weights @ (C * active), layer.weights @ (d * active) + layer.biases[:, None]
+    rows.append(-C[..., :1, :])
+    rhs.append(d[..., :1, :] - target)
+    A, b = np.concatenate(rows, axis=-2), np.concatenate(rhs, axis=-2)[..., 0]
+    keep = _kept_rows(phases, A.shape[:-2])
+    if keep.ndim == 1:
+        return A[keep], b[keep]
+    return np.where(keep[..., None], A, 0.0), np.where(keep, b, 0.0)
+
+
+def _kept_rows(phases, nodes: tuple):
+    """Which of ``_leaf_rows``' rows a node keeps: those of its branch-fixed
+    neurons and the output's; ``nodes`` is the shape of the node axis, ``()``
+    for one node."""
+    return np.concatenate([*phases, np.full(nodes + (1,), ACTIVE)], axis=-1) != UNKNOWN
 
 
 def first_feasible_completion(net: Network, box: InputBox, phases, threshold: float):
@@ -203,10 +231,15 @@ def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
     """Feasibility of a fully-decided node; returns a verified witness or None.
 
     The LP has rows only for the branch-fixed neurons (nonzero ``phases``)
-    and the output; the module docstring says why that is exact.  A
-    numerical failure or a marginal point (one ``is_witness`` rejects) on
-    the first run is re-solved once with ``RETRY_TOLERANCES``."""
-    A, b = _leaf_rows(net, modes, phases, threshold + EPSILON)
+    and the output; the module docstring says why that is exact."""
+    return _leaf_witness(net, box, *_leaf_rows(net, modes, phases, threshold + EPSILON), threshold)
+
+
+def _leaf_witness(net: Network, box: InputBox, A, b, threshold: float):
+    """The leaf rule: a verified witness of the leaf LP ``A x <= b`` over the
+    box, or None.  A numerical failure or a marginal point (one
+    ``is_witness`` rejects) on the first run is re-solved once with
+    ``RETRY_TOLERANCES``."""
     for tolerances in ({}, RETRY_TOLERANCES):
         try:
             x = feasible_point(A, b, box.lower, box.upper, **tolerances)
@@ -351,17 +384,23 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
         branches = _widest_unknown(relu_modes, bm)
 
         pushed = []
-        for n, node in enumerate(batch):
-            if closed[n]:
-                continue
-            if branches[n] >= 0:
-                pushed += children(node, int(branches[n]))
-                continue
+        for n in np.flatnonzero(~closed & (branches >= 0)):
+            pushed += children(batch[n], int(branches[n]))
+        leaves = np.flatnonzero(~closed & (branches < 0))
+        if leaves.size:
+            # One row build and one presolve for all of the batch's leaves;
+            # the survivors get the leaf rule in node order.
+            fixed = [ph[leaves] for ph in phases]
+            A, b = _leaf_rows(net, [mode[leaves] for mode in relu_modes], fixed, c + EPSILON)
             if timed_out():
                 return verdict(Status.TIMEOUT)
-            x = _solve_leaf(net, box, tuple(mode[n] for mode in relu_modes), node, c)
-            if x is not None:
-                return verdict(Status.SAT, x)
+            keep = _kept_rows(fixed, leaves.shape)
+            for n in np.flatnonzero(~_propagation_refutes(A, b, box.lower, box.upper, FEAS_TOL)):
+                if timed_out():
+                    return verdict(Status.TIMEOUT)
+                x = _leaf_witness(net, box, A[n][keep[n]], b[n][keep[n]], c)
+                if x is not None:
+                    return verdict(Status.SAT, x)
         stack += reversed(pushed)
 
     return verdict(Status.UNSAT)

@@ -278,33 +278,45 @@ def _marginal_rhs(rng, A, lo, hi, feas_tol):
     return row_min - rng.choice([0.5, 2.0], size=A.shape[0]) * feas_tol * scale
 
 
+def _presolve_box(rng, i):
+    """A seeded box; every seventh has some point coordinates."""
+    n = int(rng.integers(1, 6))
+    lo = rng.uniform(-1.0, 0.5, size=n)
+    hi = lo + rng.uniform(0.0, 1.5, size=n)
+    if i % 7 == 0:
+        hi = np.where(rng.random(n) < 0.5, lo, hi)  # point coordinates
+    return lo, hi
+
+
+def _presolve_system(rng, i, lo, hi, feas_tol):
+    """A seeded system over the box with 0, 1 or many rows, of the kind
+    ``i % 5`` picks: plain, equalities written as two rows, feasible at a
+    single point, or within or just past the tableau's margin."""
+    n = lo.shape[0]
+    m = int(rng.choice([0, 1, 1, int(rng.integers(2, 16))]))
+    A = rng.uniform(-2.0, 2.0, size=(m, n))
+    A[rng.random((m, n)) < 0.2] = 0.0
+    b = rng.uniform(-1.5, 2.0, size=m)
+    kind = i % 5
+    if kind == 1 and m:  # equalities as two rows, through a box point
+        x = rng.uniform(lo, hi)
+        A = np.vstack([A, -A])
+        b = np.concatenate([A[:m] @ x, -(A[:m] @ x)])
+    elif kind == 2:  # feasible at one point only: M x <= M p and -M x <= -M p
+        M = rng.uniform(-2.0, 2.0, size=(n, n)) + 3.0 * np.eye(n)
+        p = rng.uniform(lo, hi)
+        A = np.vstack([M, -M, A])
+        b = np.concatenate([M @ p, -(M @ p), b])
+    elif kind == 3 and m:  # rows missing by about the tableau's margin
+        b = _marginal_rhs(rng, A, lo, hi, feas_tol)
+    return A, b
+
+
 def _presolve_systems(rng, count, feas_tol):
-    """Seeded systems with 0, 1 and many rows, over boxes with point
-    coordinates, with equalities written as two rows, feasible at a single
-    point, or within or just past the tableau's margin."""
+    """Seeded systems (``_presolve_system``), each over its own box."""
     for i in range(count):
-        n = int(rng.integers(1, 6))
-        lo = rng.uniform(-1.0, 0.5, size=n)
-        hi = lo + rng.uniform(0.0, 1.5, size=n)
-        if i % 7 == 0:
-            hi = np.where(rng.random(n) < 0.5, lo, hi)  # point coordinates
-        m = int(rng.choice([0, 1, 1, int(rng.integers(2, 16))]))
-        A = rng.uniform(-2.0, 2.0, size=(m, n))
-        A[rng.random((m, n)) < 0.2] = 0.0
-        b = rng.uniform(-1.5, 2.0, size=m)
-        kind = i % 5
-        if kind == 1 and m:  # equalities as two rows, through a box point
-            x = rng.uniform(lo, hi)
-            A = np.vstack([A, -A])
-            b = np.concatenate([A[:m] @ x, -(A[:m] @ x)])
-        elif kind == 2:  # feasible at one point only: M x <= M p and -M x <= -M p
-            M = rng.uniform(-2.0, 2.0, size=(n, n)) + 3.0 * np.eye(n)
-            p = rng.uniform(lo, hi)
-            A = np.vstack([M, -M, A])
-            b = np.concatenate([M @ p, -(M @ p), b])
-        elif kind == 3 and m:  # rows missing by about the tableau's margin
-            b = _marginal_rhs(rng, A, lo, hi, feas_tol)
-        yield A, b, lo, hi
+        lo, hi = _presolve_box(rng, i)
+        yield (*_presolve_system(rng, i, lo, hi, feas_tol), lo, hi)
 
 
 @pytest.mark.parametrize("tolerances", [{}, RETRY_TOLERANCES], ids=["default", "retry"])
@@ -317,6 +329,37 @@ def test_presolve_agrees_with_tableau_on_seeded_systems(tolerances):
         outcomes.add((A.shape[0] > 1, feasible_point(A, b, lo, hi, **tolerances) is None))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
     assert counts["refuted"] > 0.5 * counts["infeasible"] and counts["tightened"] > 0, counts
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tolerances", [{}, RETRY_TOLERANCES], ids=["default", "retry"])
+def test_batched_presolve_equals_one_system_presolve(tolerances):
+    # Stacks of 1 to 8 seeded systems over one box, each padded to the
+    # stack's row count with neutral rows (zero rows with right-hand side 0)
+    # at random places, as a batch's leaf rows are: every system's flag is
+    # the one-system presolve's answer on its own rows, which is a ``bool``.
+    rng = np.random.default_rng(79)
+    feas_tol = {**DEFAULT_TOLERANCES, **tolerances}["feas_tol"]
+    seen = {"refuted": 0, "kept": 0, "tightened": 0, "mixed": 0, "padded_one_row": 0}
+    for i in range(400):
+        lo, hi = _presolve_box(rng, i)
+        K = int(rng.integers(1, 9))
+        systems = [_presolve_system(rng, i + k, lo, hi, feas_tol) for k in range(K)]
+        m = max(A.shape[0] for A, _ in systems) + int(rng.integers(0, 3))
+        stack_A, stack_b = np.zeros((K, m, lo.shape[0])), np.zeros((K, m))
+        for k, (A, b) in enumerate(systems):
+            rows = np.sort(rng.choice(m, size=A.shape[0], replace=False))
+            stack_A[k, rows], stack_b[k, rows] = A, b
+        flags = simplex._propagation_refutes(stack_A, stack_b, lo, hi, feas_tol)
+        assert flags.dtype == bool and flags.shape == (K,)
+        for k, (A, b) in enumerate(systems):
+            one = simplex._propagation_refutes(A, b, lo, hi, feas_tol)
+            assert type(one) is bool and flags[k] == one, (i, k)
+            seen["refuted" if one else "kept"] += 1
+            seen["tightened"] += one and not _first_check_refutes(A, b, lo, hi, feas_tol)
+            seen["padded_one_row"] += A.shape[0] == 1 and m > 1
+        seen["mixed"] += 0 < flags.sum() < K
+    assert min(seen.values()) > 20, seen
 
 
 def test_presolve_keeps_rows_within_the_tableau_margin():

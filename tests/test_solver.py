@@ -113,11 +113,13 @@ def _solve_checking_prunes(query, monkeypatch, completions=True):
     ``completions``, ``first_feasible_completion`` must find no witness in a
     closed node.  On UNSAT, where the search visits every node it opens, the
     nodes ``solve`` closed must be exactly these: the ones no later node
-    extends and no leaf LP was given.  That check needs no LP.
+    extends and that were not given to a leaf LP's row build (a batch's or
+    the root leaf's, whether the presolve refutes the leaf or not).  That
+    check needs no LP.
     """
     net, box, c = query.network, query.input, query.output.threshold
     bounded, leaves = [], []
-    real_sbt, real_leaf = solver.sbt, solver._solve_leaf
+    real_sbt, real_rows = solver.sbt, solver._leaf_rows
 
     def recording_sbt(net, box, phases=None):
         relu_modes, bm = real_sbt(net, box, phases)
@@ -131,13 +133,13 @@ def _solve_checking_prunes(query, monkeypatch, completions=True):
             bounded.append((phases, closed))
         return relu_modes, bm
 
-    def recording_leaf(net, box, modes, phases, threshold):
-        leaves.append(np.concatenate(phases))
-        return real_leaf(net, box, modes, phases, threshold)
+    def recording_rows(net, modes, phases, target):
+        leaves.extend(np.atleast_2d(np.concatenate(phases, axis=-1)))
+        return real_rows(net, modes, phases, target)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "sbt", recording_sbt)
-        m.setattr(solver, "_solve_leaf", recording_leaf)
+        m.setattr(solver, "_leaf_rows", recording_rows)
         v = solve(query)
     nodes = np.vstack([np.hstack(phases) for phases, _ in bounded])
     closed = np.concatenate([closed for _, closed in bounded])
@@ -318,26 +320,78 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
             assert A[-1] @ x - b[-1] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_batched_leaf_rows_equal_one_node_calls():
+    # Every node of a batch gets a row per neuron and the output.  Dropping
+    # the rows of the neurons it does not branch-fix leaves, byte for byte,
+    # the rows of a one-node call, and each dropped row is a zero row with
+    # right-hand side 0.  A network with no hidden layer has no phase array
+    # to carry a node axis: its call gives the one node's rows.
+    rng = np.random.default_rng(78)
+    for trial in range(80):
+        net = random_network(rng, n_layers=trial % 4, max_width=8)
+        K = int(rng.integers(1, 9))
+        modes = [rng.choice([-1, 1], size=(K, size)).astype(np.int8) for size in net.hidden_sizes]
+        phases = [np.where(rng.random(m.shape) < 0.5, m, 0).astype(np.int8) for m in modes]
+        target = float(rng.uniform(-1.0, 1.0))
+        A, b = _leaf_rows(net, modes, phases, target)
+        for n in range(K):
+            one_A, one_b = _leaf_rows(net, [m[n] for m in modes], [p[n] for p in phases], target)
+            if not net.hidden_sizes:
+                assert A.tobytes() == one_A.tobytes() and b.tobytes() == one_b.tobytes()
+                continue
+            assert A.shape == (K, sum(net.hidden_sizes) + 1, net.input_size) and b.shape == A.shape[:2]
+            keep = np.concatenate([*(p[n] for p in phases), [1]]) != 0
+            assert A[n][keep].shape == one_A.shape
+            assert A[n][keep].tobytes() == one_A.tobytes() and b[n][keep].tobytes() == one_b.tobytes()
+            assert not A[n][~keep].any() and not b[n][~keep].any()
+
+
+def test_a_dropped_row_with_a_negative_right_hand_side_refutes_nothing():
+    # h0 = relu(x - 1) and h1 = relu(x) are both active on [2, 3], and
+    # y = h0 + h1 reaches 4.5 at x = 2.75.  A leaf that branch-fixes only h1
+    # has no row for h0, whose own row -x <= -1 has a negative right-hand
+    # side; in a batch that row is a zero row with right-hand side 0, so the
+    # batch's presolve keeps the leaf, and so does its LP.
+    net = Network([Layer([[1.0], [1.0]], [-1.0, 0.0], True), Layer([[1.0, 1.0]], [0.0], False)], 1)
+    box = InputBox([2.0], [3.0])
+    modes = (np.array([[1, 1], [1, 1]], dtype=np.int8),)
+    phases = (np.array([[0, 1], [1, 1]], dtype=np.int8),)
+    node_modes, node_phases = (modes[0][0],), (phases[0][0],)
+    _, b_all = _leaf_rows(net, node_modes, node_modes, 4.5)
+    assert b_all[0] < 0.0
+    A, b = _leaf_rows(net, modes, phases, 4.5)
+    assert b[0, 0] == 0.0 and not A[0, 0].any()
+    refuted = solver._propagation_refutes(A, b, box.lower, box.upper, 1e-8)
+    assert refuted.tolist() == [False, False]
+    x = _solve_leaf(net, box, node_modes, node_phases, 4.5 - EPSILON)
+    assert x is not None and evaluate(net, x)[0] >= 4.5 - 1e-9
+
+
 def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypatch):
-    # Every leaf solve reaches on the oracle-small queries and their split
-    # networks: the LP with rows for the branch-fixed neurons only is
-    # feasible exactly when the LP with a row for every neuron is, and each
-    # point it returns satisfies every row.  The root falsifier is off, so
-    # that the search itself reaches the feasible leaves of the SAT queries.
-    leaves = []
-    real = solver._solve_leaf
+    # Every leaf solve gives to a leaf LP's row build on the oracle-small
+    # queries and their split networks, refuted by the presolve or not: the
+    # LP with rows for the branch-fixed neurons only is feasible exactly
+    # when the LP with a row for every neuron is, and each point it returns
+    # satisfies every row.  The root falsifier is off, so that the search
+    # itself reaches the feasible leaves of the SAT queries.
+    leaves, box = [], None
+    real = solver._leaf_rows
     monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
 
-    def recording(net, box, modes, phases, threshold):
-        leaves.append((net, box, modes, phases, threshold))
-        return real(net, box, modes, phases, threshold)
+    def recording(net, modes, phases, target):
+        if phases and phases[0].ndim == 2:
+            leaves.extend((net, box, [m[n] for m in modes], [p[n] for p in phases], target) for n in range(len(phases[0])))
+        else:
+            leaves.append((net, box, modes, phases, target))
+        return real(net, modes, phases, target)
 
-    monkeypatch.setattr(solver, "_solve_leaf", recording)
-    for q in oracle_queries_and_split_twins(tmp_path):
+    queries = oracle_queries_and_split_twins(tmp_path)
+    monkeypatch.setattr(solver, "_leaf_rows", recording)
+    for q in queries:
+        box = q.input
         solve(q, timeout=60.0)
     feasible = dropped = 0
-    for net, box, modes, phases, threshold in leaves:
-        target = threshold + EPSILON
+    for net, box, modes, phases, target in leaves:
         A, b = _leaf_rows(net, modes, phases, target)
         A_all, b_all = _leaf_rows(net, modes, modes, target)
         dropped += A_all.shape[0] - A.shape[0]
@@ -443,30 +497,60 @@ def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
 
 
 def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
-    # A fake clock advances one second per leaf LP.  The limit is checked
-    # before every leaf of a batch, so no leaf starts at or past it, and
-    # the query times out inside its one batch of 8 leaves.
+    # A fake clock advances one second per leaf LP.  The query's 8 leaves
+    # come in one batch, and all 8 are given to the batch's row build.  The
+    # presolve is made to refute none of them, so each gets its own LP; the
+    # limit is checked before every one, so no leaf starts at or past it, and
+    # the query times out inside its one batch.
     rng = np.random.default_rng(2)
     net = random_network(rng, n_inputs=2, n_layers=1, max_width=8)
     box = InputBox([-1.0, -1.0], [1.0, 1.0])
     c = float(forward_batch(net, rng.uniform(-1.0, 1.0, size=(20000, 2)))[:, 0].max()) + 0.05
     q = Query(net, box, OutputProperty(c))
-    now, starts = [0.0], []
+    now, starts, built, presolved = [0.0], [], [], []
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    real = solver._solve_leaf
+    real_lp, real_rows, real_presolve = solver.feasible_point, solver._leaf_rows, solver._propagation_refutes
 
-    def timed_leaf(*args):
+    def timed_lp(*args, **kwargs):
         starts.append(now[0])
         now[0] += 1.0
-        return real(*args)
+        return real_lp(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_solve_leaf", timed_leaf)
+    def rows(net, modes, phases, target):
+        built.append(len(phases[0]))
+        return real_rows(net, modes, phases, target)
+
+    def presolve(A, b, lo, hi, feas_tol):
+        presolved.append(len(A))
+        return np.zeros(len(A), dtype=bool)
+
+    monkeypatch.setattr(solver, "feasible_point", timed_lp)
+    monkeypatch.setattr(solver, "_leaf_rows", rows)
+    monkeypatch.setattr(solver, "_propagation_refutes", presolve)
     assert solve(q).status is Status.UNSAT and len(starts) == 8
+    assert built == [8] and presolved == [8]
     starts.clear()
     now[0] = 0.0
     v = solve(q, timeout=3.5)
     assert v.status is Status.TIMEOUT
     assert starts == [0.0, 1.0, 2.0, 3.0]
+    # The limit is also checked before a batch's presolve: a row build that
+    # ends past the limit is followed by no presolve and no LP.
+    def slow_rows(net, modes, phases, target):
+        now[0] += 4.0
+        return real_rows(net, modes, phases, target)
+
+    def recording_presolve(A, b, lo, hi, feas_tol):
+        presolved.append(len(A))
+        return real_presolve(A, b, lo, hi, feas_tol)
+
+    monkeypatch.setattr(solver, "_leaf_rows", slow_rows)
+    monkeypatch.setattr(solver, "_propagation_refutes", recording_presolve)
+    starts.clear()
+    presolved.clear()
+    now[0] = 0.0
+    assert solve(q, timeout=3.5).status is Status.TIMEOUT
+    assert starts == [] and presolved == []
 
 
 # A fake ``solver.feasible_point`` answers each leaf LP from a script: a
