@@ -49,25 +49,26 @@ The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
 ``sbt`` call, whose phases carry a leading node axis.  The
 phase-conflict check, the prune and the branch choice then run over the
-whole batch at once, and so do the batch's leaf LPs up to their presolve.
-One ``_leaf_rows`` call builds the rows of every leaf, with a zero row
-and right-hand side 0 in place of each row a leaf does not keep, and one
-``simplex._propagation_refutes`` call refutes most of the leaves.  The
-survivors, each with its zero rows dropped, which gives the rows of a
-one-leaf call byte for byte, go in node order to the leaf rule
-``_leaf_witness`` and its ``feasible_point``.  The time limit is checked
-before the batch's presolve and before every survivor's LP.  Each node
-is bounded from the input:
-``sbt`` gives every node of a batch the arrays of a one-node call on its
-phases.  A node's bound therefore depends only on its phases, so the
-same node is closed, branched the same way or sent to the same LP
-whatever batch it is in, and an UNSAT search visits the same tree as a
-one-node search.  A SAT search may stop at another leaf, because a batch
-runs its leaves' LPs before the children of its other nodes.  The
-conflict check covers every layer.  At a child's branch layer and below
-it, that check finds nothing: those layers' pre-activation bounds are
-the parent's, which passed, and the branched twin class was unknown in
-the parent (``plo < 0 < phi``).
+whole batch at once.  Each node is bounded from the input: ``sbt`` gives
+every node of a batch the arrays of a one-node call on its phases.  A
+node's bound therefore depends only on its phases, so the same node is
+closed, branched the same way or sent to the same LP whatever batch it
+is in, and an UNSAT search visits the same tree as a one-node search.  A
+SAT search may stop at another leaf, because a batch runs its leaves'
+LPs before the children of its other nodes.  The conflict check covers
+every layer.  At a child's branch layer and below it, that check finds
+nothing: those layers' pre-activation bounds are the parent's, which
+passed, and the branched twin class was unknown in the parent
+(``plo < 0 < phi``).
+
+A batch's leaves share the first steps of their LPs.  One ``_leaf_rows``
+call builds every leaf's rows, with a zero row and right-hand side 0 in
+place of each row a leaf does not keep, and one
+``simplex._propagation_refutes`` call refutes most of the leaves.  Each
+survivor's rows, with its zero rows dropped, are a one-leaf call's byte
+for byte; they go in node order to the leaf rule, ``_leaf_witness``, and
+its ``feasible_point``.  The time limit is checked before the batch's
+presolve and before every survivor's LP.
 
 The branch neuron is the unknown one with the widest pre-activation
 interval, the first in layer order, then in index order, on ties.  Its
