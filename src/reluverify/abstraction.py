@@ -39,8 +39,8 @@ L-1's values by ``hidden_values``' arithmetic; ``excess`` drops by one.
 Only a split at a point other than the parent's guiding point evaluates
 the base and the parent's network there first, and the split choice is
 one ``argmax`` over all layers' scores.  The loop's re-split check reads
-the state's output at the point from the guide (``output_at``), so no
-network is evaluated twice at one point.  The two re-derived layers are
+the state's output at the point from the guide (``guide_output``), so
+no network is evaluated twice at one point.  The two re-derived layers are
 built with ``network._trusted_layer``: their arrays come from the checked
 base, so they are not copied or scanned again.
 
@@ -161,15 +161,11 @@ class AbstractionState:
         """Each hidden layer's groups, sorted, in order of their first members."""
         return tuple(tuple(tuple(g.tolist()) for g in np.split(o.members, o.starts[1:])) for o in self.orders)
 
-    def output_at(self, x: np.ndarray) -> float:
-        """The abstract network's output at ``x``, by ``evaluate``'s
-        arithmetic, from the guide's hidden values when ``x`` is its point."""
-        if self.guide is not None and np.array_equal(self.guide.point, x):
-            hidden = self.guide.values
-        else:
-            hidden = hidden_values(self.network, x)
+    def guide_output(self) -> float:
+        """The abstract network's output at the guide's point, by
+        ``evaluate``'s arithmetic, from the guide's hidden values."""
         out = self.network.layers[-1]
-        return float((out.weights @ (hidden[-1] if hidden else x) + out.biases)[0])
+        return float((out.weights @ self.guide.values[-1] + out.biases)[0])
 
     @property
     def hidden_sizes(self) -> list[int]:
@@ -189,11 +185,6 @@ def _make_state(base: CategorizedNetwork, groups) -> AbstractionState:
     excess = sum(len(cats) - order.sizes.size for cats, order in zip(base.categories, orders))
     network = Network(layers, net.input_size, domain=net.domain)
     return AbstractionState(base, network, orders, excess, tuple(W for W, _ in collapsed))
-
-
-def _aggregate(base: CategorizedNetwork, groups: Groups) -> Network:
-    """The abstract network of ``groups``, derived from scratch."""
-    return _make_state(base, groups).network
 
 
 def abstract_to_saturation(base: CategorizedNetwork, nonneg_inputs: bool = False) -> AbstractionState:

@@ -103,9 +103,10 @@ def reduce_to_single_output(spec: RobustnessSpec) -> list[Query]:
 
 def exhaustive_verdict(q: Query) -> str:
     """Ground truth by brute force: enumerate every ReLU phase pattern
-    (active first) and solve the induced linear feasibility problem by the
-    search's leaf rule, so SAT comes only with a point ``is_witness``
-    accepts.  Only for tiny networks."""
+    (active first) and decide the induced linear feasibility problem by the
+    search's leaf path, ``solver.BATCH`` patterns per row build and
+    presolve, so SAT comes only with a point ``is_witness`` accepts.  Only
+    for tiny networks."""
     net = q.network
     if sum(net.hidden_sizes) > 16:
         raise ValueError("exhaustive enumeration limited to 16 hidden neurons")

@@ -120,9 +120,10 @@ def verify(q: Query, mode: str, timeout: float | None = None) -> tuple[Verdict, 
                 f"{mode}: exceeded the convergence bound of {iteration_bound} iterations"
             )
 
-        if x0 is not None and state.excess > 0 and state.output_at(x0) >= prop.threshold + EPSILON:
-            # x0 is a witness of this abstract query by the falsifier's rule,
-            # and still spurious: split again without solving.
+        if x0 is not None and state.excess > 0 and state.guide_output() >= prop.threshold + EPSILON:
+            # The state was split at x0, its guide's point.  x0 is a witness
+            # of this abstract query by the falsifier's rule, and still
+            # spurious: split again without solving.
             stats.resplits += 1
         else:
             budget = None if timeout is None else timeout - (time.monotonic() - start)

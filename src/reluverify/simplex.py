@@ -28,16 +28,16 @@ Every other system goes to the unchanged tableau on the original box, so a
 feasible system returns the same point, bit for bit, as without the
 presolve, and no witness or search decision built on it can change.
 
-The presolve also takes K systems over one box at once, ``A`` of shape
-``(K, m, n)``, as ``solver.solve`` builds them for a batch's leaves, and
-gives one flag per system, the one-system answer on that slice: a system
-leaves the stack once it is decided, so it runs the checks and sweeps it
-would run alone, and ``@`` over a leading axis runs the one-system
-product on each slice.  A system with fewer rows is padded with neutral
-rows, zero rows with right-hand side 0, which every box point meets and
-which bound no variable, so the padding changes no flag.  (A one-row
-system padded this way runs sweeps, but they leave its one slack as it
-was and cannot refute it.)
+The presolve takes K systems over one box at once, ``A`` of shape
+``(K, m, n)``, and gives one flag per system.  ``feasible_point`` gives it
+a stack of one; ``solver``'s leaf path gives it all the leaves of one row
+build.  A system leaves the stack once it is decided, so each runs exactly
+the checks and sweeps it would run in a stack of one, and ``@`` over a
+leading axis runs the one-system product on each slice.  A system with
+fewer rows is padded with neutral rows, zero rows with right-hand side 0,
+which every box point meets and which bound no variable, so the padding
+changes no flag.  (A one-row system padded this way runs sweeps, but they
+leave its one slack as it was and cannot refute it.)
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def feasible_point(
 ) -> np.ndarray | None:
     """Return some x with ``A x <= b`` inside the box, or None if infeasible."""
     A, b, lo, hi = _system(A, b, lo, hi)
-    if np.any(lo > hi) or _propagation_refutes(A, b, lo, hi, feas_tol):
+    if np.any(lo > hi) or _propagation_refutes(A[None], b[None], lo, hi, feas_tol)[0]:
         return None
     return _tableau(A, b, lo, hi, tol, feas_tol)
 
@@ -87,29 +87,23 @@ def _system(A, b, lo, hi):
     return A, b, lo, hi
 
 
-def _propagation_refutes(A, b, lo, hi, feas_tol: float):
-    """True if bound propagation proves that no box point meets every row
-    of ``A x <= b`` relaxed by ``feas_tol`` times the row's tableau scale.
+def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> np.ndarray:
+    """For each of K systems ``A x <= b`` over one box, ``A`` of shape
+    ``(K, m, n)`` and ``b`` of shape ``(K, m)``: True if bound propagation
+    proves that no box point meets every row relaxed by ``feas_tol`` times
+    the row's tableau scale.
 
     The rows' minima over the box are checked against their relaxed
     right-hand sides; then, up to ``PRESOLVE_SWEEPS`` times, every variable's
     bounds shrink by every row's slack and the minima are checked again over
     the shrunken box.  Propagation stops early once no bound moves.  Bounds
     that cross refute only when they cross by more than ``feas_tol``.
-
-    ``A`` of shape ``(K, m, n)`` and ``b`` of shape ``(K, m)`` stack K
-    systems over the one box and give a bool array, one flag per system;
-    ``(m, n)`` and ``(m,)`` give a ``bool``.
     """
     b = b + feas_tol * np.maximum(np.abs(A).max(axis=-1), 1.0)
     Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
     slack = b - Ap @ lo - An @ hi
     refuted = (slack < 0.0).any(axis=-1)
     # One row is met somewhere in the box if its minimum meets it.
-    if A.ndim == 2:
-        if refuted or A.shape[0] <= 1:
-            return bool(refuted)
-        return bool(_sweeps_refute(A[None], b[None], Ap[None], An[None], slack[None], lo, hi, feas_tol)[0])
     if A.shape[1] <= 1 or refuted.all():
         return refuted
     live = np.flatnonzero(~refuted)

@@ -41,9 +41,10 @@ the witness.  This one check covers two cases where a witness is known
 to exist: when the root's sound lower bound clears ``c + EPSILON`` every
 box point is one, and at a root leaf (every neuron stable) the network
 is affine on the box, so the corner is its maximum.  A root leaf whose
-corner misses goes to its leaf LP, so UNSAT still comes only from the
-LP, and a root leaf costs one LP only when the corner misses.  Any other
-root whose corner misses goes to the falsifier and then the search.
+corner misses goes to the leaf path as a batch of one, so UNSAT still
+comes only from its presolve or LP, and a root leaf costs a presolve and
+at most one LP only when the corner misses.  Any other root whose corner
+misses goes to the falsifier and then the search.
 
 The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
 nodes off the top of its depth-first stack and bounds them with one
@@ -61,14 +62,17 @@ nothing: those layers' pre-activation bounds are the parent's, which
 passed, and the branched twin class was unknown in the parent
 (``plo < 0 < phi``).
 
-A batch's leaves share the first steps of their LPs.  One ``_leaf_rows``
-call builds every leaf's rows, with a zero row and right-hand side 0 in
-place of each row a leaf does not keep, and one
+Every leaf LP goes through one leaf path, ``_first_leaf_witness``: a
+batch's leaves, the root leaf as a batch of one, and the completions of
+``first_feasible_completion``, ``BATCH`` at a time.  One ``_leaf_rows``
+call builds all of its leaves' rows, with a zero row and right-hand side 0
+in place of each row a leaf does not keep, and one
 ``simplex._propagation_refutes`` call refutes most of the leaves.  Each
-survivor's rows, with its zero rows dropped, are a one-leaf call's byte
-for byte; they go in node order to the leaf rule, ``_leaf_witness``, and
-its ``feasible_point``.  The time limit is checked before the batch's
-presolve and before every survivor's LP.
+survivor's kept rows do not depend on the other leaves of the call; they
+go in node order to the leaf rule, ``_leaf_witness``, and its
+``feasible_point``, and the first witness ends the call.  The time limit
+is checked before the presolve and before every survivor's LP, the root
+leaf's included.
 
 The branch neuron is the unknown one with the widest pre-activation
 interval, the first in layer order, then in index order, on ties.  Its
@@ -108,9 +112,9 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
 
 The simplex's bound-propagation presolve (at most
 ``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
-refutes a leaf only past the ``feas_tol`` margin the tableau applies.  A
-batch's presolve uses the first run's margin, ``simplex.FEAS_TOL``, and
-refutes exactly the leaves whose first ``feasible_point`` would refute
+refutes a leaf only past the ``feas_tol`` margin the tableau applies.  The
+leaf path's presolve uses the first run's margin, ``simplex.FEAS_TOL``,
+and refutes exactly the leaves whose first ``feasible_point`` would refute
 them, which that run returns None for without a retry.
 """
 
@@ -173,21 +177,23 @@ def is_witness(net: Network, x, threshold: float) -> bool:
 
 
 def _leaf_rows(net: Network, modes, phases, target: float):
-    """Linear rows (A x <= b) of the region where every neuron with a nonzero
-    entry in ``phases`` has its phase in ``modes`` (+1 active, -1 inactive)
-    and the output reaches ``target``.
+    """Linear rows (A x <= b) of K leaves' regions: for node n, where every
+    neuron with a nonzero entry in ``phases`` has its phase in ``modes``
+    (+1 active, -1 inactive) and the output reaches ``target``.  Returns
+    ``A`` of shape ``(K, rows, n)``, ``b`` of shape ``(K, rows)`` and the
+    ``(K, rows)`` mask ``keep`` of each node's rows.
 
-    Exact affine propagation: under a full phase assignment ``modes`` each
-    layer's pre-activations are an affine map ``C x + d`` of the input.
-    Passing ``modes`` itself as ``phases`` gives a row for every neuron.
-
-    ``modes`` and ``phases`` may carry a leading node axis, one ``(K, n_k)``
-    array per hidden layer, as ``sbt``'s do.  Then every node gets a row per
-    neuron and the output, ``A`` of shape ``(K, rows, n)``, and each row
-    that is not branch-fixed is a zero row with right-hand side 0, which no
-    box point misses.  Dropping those rows from node n's slice gives, byte
-    for byte, the one-node call: ``d`` is multiplied as a one-column matrix,
-    and ``@`` over a leading axis runs the one-node product on each slice.
+    ``modes`` and ``phases`` carry a leading node axis, one ``(K, n_k)``
+    array per hidden layer, as ``sbt``'s do.  Exact affine propagation:
+    under a full phase assignment ``modes`` each layer's pre-activations
+    are an affine map ``C x + d`` of the input.  Every node gets a row per
+    neuron and the output; ``keep`` marks those of its branch-fixed neurons
+    and the output, and every other row is a zero row with right-hand side
+    0, which no box point misses.  Passing ``modes`` itself as ``phases``
+    keeps every row.  ``d`` is multiplied as a one-column matrix and ``@``
+    over a leading axis runs the one-node product on each slice, so a
+    node's kept rows do not depend on the other nodes of the call.  With no
+    hidden layer, ``np.where`` broadcasts the node axis.
     """
     C, d = net.layers[0].weights, net.layers[0].biases[:, None]
     rows, rhs = [], []
@@ -199,41 +205,49 @@ def _leaf_rows(net: Network, modes, phases, target: float):
     rows.append(-C[..., :1, :])
     rhs.append(d[..., :1, :] - target)
     A, b = np.concatenate(rows, axis=-2), np.concatenate(rhs, axis=-2)[..., 0]
-    keep = _kept_rows(phases, A.shape[:-2])
-    if keep.ndim == 1:
-        return A[keep], b[keep]
-    return np.where(keep[..., None], A, 0.0), np.where(keep, b, 0.0)
+    nodes = len(phases[0]) if phases else 1
+    keep = np.concatenate([*phases, np.full((nodes, 1), ACTIVE)], axis=-1) != UNKNOWN
+    return np.where(keep[..., None], A, 0.0), np.where(keep, b, 0.0), keep
 
 
-def _kept_rows(phases, nodes: tuple):
-    """Which of ``_leaf_rows``' rows a node keeps: those of its branch-fixed
-    neurons and the output's; ``nodes`` is the shape of the node axis, ``()``
-    for one node."""
-    return np.concatenate([*phases, np.full(nodes + (1,), ACTIVE)], axis=-1) != UNKNOWN
+def _first_leaf_witness(net: Network, box: InputBox, modes, phases, threshold: float, timed_out):
+    """The leaf path: a verified witness of the first of K leaves, in node
+    order, whose leaf LP has one, None when none has, or ``Status.TIMEOUT``.
 
-
-def first_feasible_completion(net: Network, box: InputBox, phases, threshold: float):
-    """A witness for ``threshold`` in the first completion of ``phases``
-    (undecided neurons filled active-first, in layer order) whose leaf LP
-    ``_solve_leaf`` accepts, or None when no completion has one.  Every
-    neuron gets a row: this is the reference the search is checked against."""
-    full = [ph.copy() for ph in phases]
-    free = [(k, i) for k, ph in enumerate(full) for i, m in enumerate(ph.tolist()) if m == UNKNOWN]
-    for combo in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
-        for (k, i), val in zip(free, combo):
-            full[k][i] = val
-        x = _solve_leaf(net, box, full, full, threshold)
+    ``modes`` and ``phases`` carry a leading node axis (``_leaf_rows``).
+    One row build and one presolve serve all K leaves; each survivor's kept
+    rows go to the leaf rule.  ``timed_out()`` is checked before the
+    presolve and before every LP."""
+    A, b, keep = _leaf_rows(net, modes, phases, threshold + EPSILON)
+    if timed_out():
+        return Status.TIMEOUT
+    for n in np.flatnonzero(~_propagation_refutes(A, b, box.lower, box.upper, FEAS_TOL)):
+        if timed_out():
+            return Status.TIMEOUT
+        x = _leaf_witness(net, box, A[n][keep[n]], b[n][keep[n]], threshold)
         if x is not None:
             return x
     return None
 
 
-def _solve_leaf(net: Network, box: InputBox, modes, phases, threshold: float):
-    """Feasibility of a fully-decided node; returns a verified witness or None.
-
-    The LP has rows only for the branch-fixed neurons (nonzero ``phases``)
-    and the output; the module docstring says why that is exact."""
-    return _leaf_witness(net, box, *_leaf_rows(net, modes, phases, threshold + EPSILON), threshold)
+def first_feasible_completion(net: Network, box: InputBox, phases, threshold: float):
+    """A witness for ``threshold`` in the first completion of ``phases``
+    (undecided neurons filled active-first, in layer order) whose leaf LP
+    has one, or None when no completion has one.  Every neuron gets a row:
+    this is the reference the search is checked against.  The completions
+    go to the leaf path ``BATCH`` at a time, in ``itertools.product`` order."""
+    flat = np.concatenate([np.zeros(0, dtype=np.int8), *phases])
+    free = np.flatnonzero(flat == UNKNOWN)
+    ends = np.cumsum([len(ph) for ph in phases])
+    combos = itertools.product((ACTIVE, INACTIVE), repeat=free.size)
+    while chunk := list(itertools.islice(combos, BATCH)):
+        full = np.repeat(flat[None], len(chunk), axis=0)
+        full[:, free] = chunk
+        modes = [full[:, end - len(ph) : end] for ph, end in zip(phases, ends)]
+        x = _first_leaf_witness(net, box, modes, modes, threshold, lambda: False)
+        if x is not None:
+            return x
+    return None
 
 
 def _leaf_witness(net: Network, box: InputBox, A, b, threshold: float):
@@ -342,7 +356,9 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
         return verdict(Status.SAT, x)
     branch = int(_widest_unknown(relu_modes, bm))
     if branch < 0:
-        x = _solve_leaf(net, box, relu_modes, root, c)
+        x = _first_leaf_witness(net, box, [m[None] for m in relu_modes], [r[None] for r in root], c, timed_out)
+        if x is Status.TIMEOUT:
+            return verdict(Status.TIMEOUT)
         return verdict(Status.UNSAT) if x is None else verdict(Status.SAT, x)
     x = _falsify(net, box, c)
     if x is not None:
@@ -389,19 +405,13 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
             pushed += children(batch[n], int(branches[n]))
         leaves = np.flatnonzero(~closed & (branches < 0))
         if leaves.size:
-            # One row build and one presolve for all of the batch's leaves;
-            # the survivors get the leaf rule in node order.
-            fixed = [ph[leaves] for ph in phases]
-            A, b = _leaf_rows(net, [mode[leaves] for mode in relu_modes], fixed, c + EPSILON)
-            if timed_out():
+            x = _first_leaf_witness(
+                net, box, [mode[leaves] for mode in relu_modes], [ph[leaves] for ph in phases], c, timed_out
+            )
+            if x is Status.TIMEOUT:
                 return verdict(Status.TIMEOUT)
-            keep = _kept_rows(fixed, leaves.shape)
-            for n in np.flatnonzero(~_propagation_refutes(A, b, box.lower, box.upper, FEAS_TOL)):
-                if timed_out():
-                    return verdict(Status.TIMEOUT)
-                x = _leaf_witness(net, box, A[n][keep[n]], b[n][keep[n]], c)
-                if x is not None:
-                    return verdict(Status.SAT, x)
+            if x is not None:
+                return verdict(Status.SAT, x)
         stack += reversed(pushed)
 
     return verdict(Status.UNSAT)

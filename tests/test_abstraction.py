@@ -13,7 +13,6 @@ from reluverify import (
 )
 
 from reluverify.abstraction import (
-    _aggregate,
     _collapse,
     _guide_at,
     _layer_order,
@@ -170,7 +169,7 @@ def test_refine_splices_only_the_two_touched_layers():
             new = refine_split(state, rng.uniform(box.lower, box.upper))
             (L,) = [k for k in range(last + 1) if new.groups[k] != state.groups[k]]
             split_layers.add((L == 0, L == last))
-            ref = _aggregate(new.base, new.groups)
+            ref = _make_state(new.base, new.groups).network
             for k, (got, want) in enumerate(zip(new.network.layers, ref.layers)):
                 assert np.array_equal(got.weights, want.weights), (trial, L, k)
                 assert np.array_equal(got.biases, want.biases), (trial, L, k)
@@ -378,7 +377,7 @@ def test_refinement_chain_keeps_orders_and_resumes_roots():
             own = hidden_values(new.network, x0)
             assert len(new.guide.values) == len(own)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(new.guide.values, own))
-            assert new.output_at(x0) == evaluate(new.network, x0)[0]
+            assert new.guide_output() == evaluate(new.network, x0)[0]
             for kept, layer_groups in zip(new.orders, new.groups):
                 for got, want in zip(kept, _layer_order(layer_groups)):
                     assert np.array_equal(got, want), trial
@@ -431,7 +430,7 @@ def test_refinement_chains_match_a_from_scratch_rebuild():
                 for got, want in zip(new.orders, ref.orders):
                     assert _bytes(got) == _bytes(want), trial
                 assert _bytes(new.collapsed) == _bytes(ref.collapsed), trial
-                for got, want in zip(new.network.layers, _aggregate(base, new.groups).layers):
+                for got, want in zip(new.network.layers, ref.network.layers):
                     assert _bytes([got.weights, got.biases]) == _bytes([want.weights, want.biases]), trial
                     assert got.relu == want.relu
                 assert _bytes(new.guide.values) == _bytes(hidden_values(new.network, x0)), trial

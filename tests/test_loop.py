@@ -19,7 +19,7 @@ from reluverify import (
     verify,
 )
 from reluverify import bounds, loop, solver
-from reluverify.abstraction import _make_state, refine_split
+from reluverify.abstraction import _guide_at, _make_state, refine_split
 from reluverify.loop import is_genuine
 
 from conftest import (
@@ -345,7 +345,7 @@ def test_kept_point_inside_the_granularity_band_is_solved(monkeypatch):
         v = solver.solve(Query(state.network, box, OutputProperty(-1e3)))
         x0 = v.witness
         split = refine_split(state, x0)
-        c = split.output_at(x0) - solver.EPSILON / 2
+        c = split.guide_output() - solver.EPSILON / 2
         q = Query(net, box, OutputProperty(c))
         if split.excess == 0 or evaluate(state.network, x0)[0] < c + solver.EPSILON or is_genuine(q, x0):
             continue
@@ -381,10 +381,11 @@ class _KeepsNothing(dict):
 
 
 def test_incremental_paths_match_from_scratch_reference(monkeypatch):
-    # The reference run rebuilds every state with ``_aggregate`` (no shared
-    # layers, no kept group orders or base values) and bounds every network
-    # from the input; verdicts, witnesses, node counts, thresholds and
-    # splits must be those of the run as shipped.
+    # The reference run rebuilds every state with ``_make_state`` (no shared
+    # layers, no kept group orders or base values) and its guide at the
+    # split point with ``_guide_at`` (no kept values or scores), and bounds
+    # every network from the input; verdicts, witnesses, node counts,
+    # thresholds and splits must be those of the run as shipped.
     rng = np.random.default_rng(85)
     queries = [
         random_query(rng, net=random_network(rng, n_layers=int(rng.integers(2, 4)), max_width=6), nonneg=True)
@@ -405,7 +406,8 @@ def test_incremental_paths_match_from_scratch_reference(monkeypatch):
 
     def refine_from_scratch(state, x0):
         new = real_refine(state, x0)
-        return dataclasses.replace(_make_state(new.base, new.groups), split=new.split)
+        ref = _make_state(new.base, new.groups)
+        return dataclasses.replace(ref, split=new.split, guide=_guide_at(ref, new.guide.point))
 
     monkeypatch.setattr(loop, "refine_split", refine_from_scratch)
     monkeypatch.setattr(bounds, "_KEPT", _KeepsNothing())

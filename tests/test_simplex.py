@@ -5,7 +5,7 @@ import pytest
 
 from reluverify import simplex, solver
 from reluverify.simplex import SimplexError, feasible_point
-from reluverify.solver import RETRY_TOLERANCES, first_feasible_completion, solve
+from reluverify.solver import EPSILON, RETRY_TOLERANCES, first_feasible_completion, solve
 
 from conftest import oracle_queries_and_split_twins
 
@@ -216,6 +216,13 @@ def _first_check_refutes(A, b, lo, hi, feas_tol):
     return bool(np.any(np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi > b + feas_tol * scale))
 
 
+def _refutes_alone(A, b, lo, hi, feas_tol):
+    """The presolve's flag for one system, on a stack of one."""
+    flags = simplex._propagation_refutes(A[None], b[None], lo, hi, feas_tol)
+    assert flags.shape == (1,) and flags.dtype == bool
+    return bool(flags[0])
+
+
 def _compare_with_tableau(A, b, lo, hi, tolerances, counts):
     """``feasible_point`` returns None exactly when the tableau alone does,
     and otherwise the tableau's bytes.  Where the tableau fails numerically,
@@ -225,7 +232,7 @@ def _compare_with_tableau(A, b, lo, hi, tolerances, counts):
     ours, _ = _outcome(feasible_point, A, b, lo, hi, **tolerances)
     system = simplex._system(A, b, lo, hi)
     tableau, _ = _outcome(simplex._tableau, *system, **tol)
-    refuted = simplex._propagation_refutes(*system, tol["feas_tol"])
+    refuted = _refutes_alone(*system, tol["feas_tol"])
     if tableau[0] == "error" and refuted:
         assert ours == ("none",)
     else:
@@ -244,15 +251,24 @@ def test_presolve_agrees_with_tableau_on_solver_leaves_and_completions(tmp_path,
     # Every leaf LP solve reaches on the oracle-small queries and their split
     # networks, and every completion first_feasible_completion enumerates on
     # the oracle-small queries: propagation never claims a system empty that
-    # the tableau solves, and it decides most of the empty ones.
+    # the tableau solves, and it decides most of the empty ones.  Each leaf
+    # given to the leaf path is recorded with its kept rows, whether the
+    # leaf path's presolve refutes it or not, and so is every re-solve.
     systems = []
-    real = solver.feasible_point
+    real_path, real_lp = solver._first_leaf_witness, solver.feasible_point
 
-    def recording(A, b, lo, hi, **tolerances):
-        systems.append((A, b, lo, hi, tolerances))
-        return real(A, b, lo, hi, **tolerances)
+    def recording_path(net, box, modes, phases, threshold, timed_out):
+        A, b, keep = solver._leaf_rows(net, modes, phases, threshold + EPSILON)
+        systems.extend((A[n][keep[n]], b[n][keep[n]], box.lower, box.upper, {}) for n in range(len(keep)))
+        return real_path(net, box, modes, phases, threshold, timed_out)
 
-    monkeypatch.setattr(solver, "feasible_point", recording)
+    def recording_retry(A, b, lo, hi, **tolerances):
+        if tolerances:
+            systems.append((A, b, lo, hi, tolerances))
+        return real_lp(A, b, lo, hi, **tolerances)
+
+    monkeypatch.setattr(solver, "_first_leaf_witness", recording_path)
+    monkeypatch.setattr(solver, "feasible_point", recording_retry)
     queries = oracle_queries_and_split_twins(tmp_path)
     for q in queries:
         solve(q, timeout=60.0)
@@ -337,7 +353,7 @@ def test_batched_presolve_equals_one_system_presolve(tolerances):
     # Stacks of 1 to 8 seeded systems over one box, each padded to the
     # stack's row count with neutral rows (zero rows with right-hand side 0)
     # at random places, as a batch's leaf rows are: every system's flag is
-    # the one-system presolve's answer on its own rows, which is a ``bool``.
+    # the presolve's flag for a stack of one of its own unpadded rows.
     rng = np.random.default_rng(79)
     feas_tol = {**DEFAULT_TOLERANCES, **tolerances}["feas_tol"]
     seen = {"refuted": 0, "kept": 0, "tightened": 0, "mixed": 0, "padded_one_row": 0}
@@ -353,8 +369,8 @@ def test_batched_presolve_equals_one_system_presolve(tolerances):
         flags = simplex._propagation_refutes(stack_A, stack_b, lo, hi, feas_tol)
         assert flags.dtype == bool and flags.shape == (K,)
         for k, (A, b) in enumerate(systems):
-            one = simplex._propagation_refutes(A, b, lo, hi, feas_tol)
-            assert type(one) is bool and flags[k] == one, (i, k)
+            one = _refutes_alone(A, b, lo, hi, feas_tol)
+            assert flags[k] == one, (i, k)
             seen["refuted" if one else "kept"] += 1
             seen["tightened"] += one and not _first_check_refutes(A, b, lo, hi, feas_tol)
             seen["padded_one_row"] += A.shape[0] == 1 and m > 1
@@ -370,7 +386,7 @@ def test_presolve_keeps_rows_within_the_tableau_margin():
     A = np.array([[1.0], [-1.0]])
     for delta, feasible in ((0.5e-8, True), (5e-8, False)):
         b = np.array([0.5, -0.5 - delta])
-        assert simplex._propagation_refutes(A, b, lo, hi, 1e-8) is not feasible
+        assert _refutes_alone(A, b, lo, hi, 1e-8) is not feasible
         assert (feasible_point(A, b, lo, hi) is not None) is feasible
     # Rows whose minima fit the box, but which propagation refutes: the first
     # system needs raised lower bounds, the second lowered upper bounds
@@ -382,5 +398,5 @@ def test_presolve_keeps_rows_within_the_tableau_margin():
     ):
         A, b = np.array(A), np.array(b)
         assert not _first_check_refutes(A, b, lo, hi, 1e-8)
-        assert simplex._propagation_refutes(A, b, lo, hi, 1e-8)
+        assert _refutes_alone(A, b, lo, hi, 1e-8)
         assert feasible_point(A, b, lo, hi) is None

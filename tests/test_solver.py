@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,8 +28,9 @@ from reluverify.solver import (
     EPSILON,
     RETRY_TOLERANCES,
     SolverError,
+    _first_leaf_witness,
     _leaf_rows,
-    _solve_leaf,
+    _leaf_witness,
     _widest_unknown,
     first_feasible_completion,
 )
@@ -134,7 +136,7 @@ def _solve_checking_prunes(query, monkeypatch, completions=True):
         return relu_modes, bm
 
     def recording_rows(net, modes, phases, target):
-        leaves.extend(np.atleast_2d(np.concatenate(phases, axis=-1)))
+        leaves.extend(np.concatenate(phases, axis=-1))
         return real_rows(net, modes, phases, target)
 
     with monkeypatch.context() as m:
@@ -295,6 +297,12 @@ def _loop_leaf_rows(net, modes, phases, target):
     return np.array(rows), np.array(rhs)
 
 
+def _kept_leaf_rows(net, modes, phases, target):
+    """One node's kept rows, from ``_leaf_rows`` on a stack of one."""
+    A, b, keep = _leaf_rows(net, [m[None] for m in modes], [p[None] for p in phases], target)
+    return A[0][keep[0]], b[0][keep[0]]
+
+
 def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
     # Rows built for x's own phase pattern with target y(x) equal the
     # per-neuron reference bit for bit, hold at x, and are tight on the
@@ -312,7 +320,7 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
         y = evaluate(net, x)[0]
         fixed = [np.where(rng.random(m.size) < 0.5, m, 0).astype(np.int8) for m in modes]
         for phases in (modes, fixed):
-            A, b = _leaf_rows(net, modes, phases, y)
+            A, b = _kept_leaf_rows(net, modes, phases, y)
             A_ref, b_ref = _loop_leaf_rows(net, modes, phases, y)
             assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
             assert A.shape[0] == 1 + sum(int(np.count_nonzero(p)) for p in phases)
@@ -321,29 +329,29 @@ def test_leaf_rows_match_loop_reference_and_hold_in_their_region():
 
 
 def test_batched_leaf_rows_equal_one_node_calls():
-    # Every node of a batch gets a row per neuron and the output.  Dropping
-    # the rows of the neurons it does not branch-fix leaves, byte for byte,
-    # the rows of a one-node call, and each dropped row is a zero row with
-    # right-hand side 0.  A network with no hidden layer has no phase array
-    # to carry a node axis: its call gives the one node's rows.
+    # Every node of a batch gets a row per neuron and the output.  Its kept
+    # rows, the rows of the neurons it branch-fixes and the output's, equal
+    # the per-neuron reference and, byte for byte, the rows of a stack of
+    # one; each dropped row is a zero row with right-hand side 0.  A network
+    # with no hidden layer has no phase array to carry a node axis: its call
+    # gives one node.
     rng = np.random.default_rng(78)
     for trial in range(80):
         net = random_network(rng, n_layers=trial % 4, max_width=8)
-        K = int(rng.integers(1, 9))
+        K = int(rng.integers(1, 9)) if net.hidden_sizes else 1
         modes = [rng.choice([-1, 1], size=(K, size)).astype(np.int8) for size in net.hidden_sizes]
         phases = [np.where(rng.random(m.shape) < 0.5, m, 0).astype(np.int8) for m in modes]
         target = float(rng.uniform(-1.0, 1.0))
-        A, b = _leaf_rows(net, modes, phases, target)
+        A, b, keep = _leaf_rows(net, modes, phases, target)
+        assert A.shape == (K, sum(net.hidden_sizes) + 1, net.input_size) and b.shape == keep.shape == A.shape[:2]
         for n in range(K):
-            one_A, one_b = _leaf_rows(net, [m[n] for m in modes], [p[n] for p in phases], target)
-            if not net.hidden_sizes:
-                assert A.tobytes() == one_A.tobytes() and b.tobytes() == one_b.tobytes()
-                continue
-            assert A.shape == (K, sum(net.hidden_sizes) + 1, net.input_size) and b.shape == A.shape[:2]
-            keep = np.concatenate([*(p[n] for p in phases), [1]]) != 0
-            assert A[n][keep].shape == one_A.shape
-            assert A[n][keep].tobytes() == one_A.tobytes() and b[n][keep].tobytes() == one_b.tobytes()
-            assert not A[n][~keep].any() and not b[n][~keep].any()
+            node_modes, node_phases = [m[n] for m in modes], [p[n] for p in phases]
+            assert keep[n].tolist() == (np.concatenate([*node_phases, [1]]) != 0).tolist()
+            one_A, one_b = _kept_leaf_rows(net, node_modes, node_phases, target)
+            assert A[n][keep[n]].tobytes() == one_A.tobytes() and b[n][keep[n]].tobytes() == one_b.tobytes()
+            A_ref, b_ref = _loop_leaf_rows(net, node_modes, node_phases, target)
+            assert np.array_equal(A[n][keep[n]], A_ref) and np.array_equal(b[n][keep[n]], b_ref)
+            assert not A[n][~keep[n]].any() and not b[n][~keep[n]].any()
 
 
 def test_a_dropped_row_with_a_negative_right_hand_side_refutes_nothing():
@@ -356,14 +364,14 @@ def test_a_dropped_row_with_a_negative_right_hand_side_refutes_nothing():
     box = InputBox([2.0], [3.0])
     modes = (np.array([[1, 1], [1, 1]], dtype=np.int8),)
     phases = (np.array([[0, 1], [1, 1]], dtype=np.int8),)
-    node_modes, node_phases = (modes[0][0],), (phases[0][0],)
-    _, b_all = _leaf_rows(net, node_modes, node_modes, 4.5)
-    assert b_all[0] < 0.0
-    A, b = _leaf_rows(net, modes, phases, 4.5)
-    assert b[0, 0] == 0.0 and not A[0, 0].any()
+    node_modes, node_phases = (modes[0][:1],), (phases[0][:1],)
+    _, b_all, _ = _leaf_rows(net, node_modes, node_modes, 4.5)
+    assert b_all[0, 0] < 0.0
+    A, b, keep = _leaf_rows(net, modes, phases, 4.5)
+    assert b[0, 0] == 0.0 and not A[0, 0].any() and not keep[0, 0]
     refuted = solver._propagation_refutes(A, b, box.lower, box.upper, 1e-8)
     assert refuted.tolist() == [False, False]
-    x = _solve_leaf(net, box, node_modes, node_phases, 4.5 - EPSILON)
+    x = _first_leaf_witness(net, box, node_modes, node_phases, 4.5 - EPSILON, lambda: False)
     assert x is not None and evaluate(net, x)[0] >= 4.5 - 1e-9
 
 
@@ -379,11 +387,9 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
     monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
 
     def recording(net, modes, phases, target):
-        if phases and phases[0].ndim == 2:
-            leaves.extend((net, box, [m[n] for m in modes], [p[n] for p in phases], target) for n in range(len(phases[0])))
-        else:
-            leaves.append((net, box, modes, phases, target))
-        return real(net, modes, phases, target)
+        A, b, keep = real(net, modes, phases, target)
+        leaves.extend((net, box, A[n][keep[n]], b[n][keep[n]], [m[n] for m in modes], target) for n in range(len(keep)))
+        return A, b, keep
 
     queries = oracle_queries_and_split_twins(tmp_path)
     monkeypatch.setattr(solver, "_leaf_rows", recording)
@@ -391,9 +397,8 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
         box = q.input
         solve(q, timeout=60.0)
     feasible = dropped = 0
-    for net, box, modes, phases, target in leaves:
-        A, b = _leaf_rows(net, modes, phases, target)
-        A_all, b_all = _leaf_rows(net, modes, modes, target)
+    for net, box, A, b, modes, target in leaves:
+        A_all, b_all = _kept_leaf_rows(net, modes, modes, target)
         dropped += A_all.shape[0] - A.shape[0]
         x = feasible_point(A, b, box.lower, box.upper)
         x_all = feasible_point(A_all, b_all, box.lower, box.upper)
@@ -553,6 +558,92 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
     assert starts == [] and presolved == []
 
 
+def test_root_leaf_lp_does_not_start_after_the_deadline(monkeypatch):
+    # y = relu(x + 1) on [0, 1]: the one neuron is stable, so the root is a
+    # leaf, and the maximum, y = 2 at the corner x = 1, lies in the
+    # granularity band just under c + EPSILON.  The corner misses, but the
+    # leaf LP accepts x = 1 within its margin, so with no limit the root
+    # leaf's one LP gives SAT.  A fake clock that the root's bound moves
+    # past the limit must stop the root leaf before its presolve and LP.
+    net = Network([Layer([[1.0]], [1.0], True), Layer([[1.0]], [0.0], False)], 1)
+    q = Query(net, InputBox([0.0], [1.0]), OutputProperty(2.0 - EPSILON + 5e-9))
+    now, lps = [0.0], []
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    real_sbt, real_lp = solver.sbt, solver.feasible_point
+
+    def slow_sbt(*args):
+        now[0] += 10.0
+        return real_sbt(*args)
+
+    def counted_lp(*args, **kwargs):
+        lps.append(args)
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "sbt", slow_sbt)
+    monkeypatch.setattr(solver, "feasible_point", counted_lp)
+    v = solve(q)
+    assert v.status is Status.SAT and not v.sampled and v.witness.tolist() == [1.0] and len(lps) == 1
+    assert evaluate(net, v.witness)[0] < q.output.threshold + EPSILON
+    lps.clear()
+    now[0] = 0.0
+    v = solve(q, timeout=5.0)
+    assert v.status is Status.TIMEOUT and v.nodes == 1 and lps == []
+
+
+def _one_completion_at_a_time(net, box, phases, threshold):
+    """``first_feasible_completion`` one completion at a time: each, in
+    ``itertools.product`` order, gets its own row build and leaf LP, with
+    no shared presolve, and the first witness wins.  Also returns the
+    winner's index."""
+    flat = np.concatenate(phases)
+    free = np.flatnonzero(flat == 0)
+    for i, combo in enumerate(itertools.product((1, -1), repeat=free.size)):
+        full = flat.copy()
+        full[free] = combo
+        modes = [m[None] for m in np.split(full, np.cumsum(net.hidden_sizes)[:-1])]
+        A, b, keep = _leaf_rows(net, modes, modes, threshold + EPSILON)
+        assert keep.all()
+        x = _leaf_witness(net, box, A[0], b[0], threshold)
+        if x is not None:
+            return x, i
+    return None, None
+
+
+def test_reference_enumeration_spans_batches_in_product_order():
+    # Networks with 7 to 10 free neurons, so the 128 to 1,024 completions
+    # span 2 to 16 of the reference's batches of solver.BATCH.  Some phases
+    # are fixed in advance.  The reference must return the witness, byte for
+    # byte, that one completion at a time in product order gives; among the
+    # cases are SAT ones whose first witness lies past the first batch, and
+    # UNSAT ones.
+    rng = np.random.default_rng(89)
+    late_sat = unsat = 0
+    for trial in range(24):
+        widths = [int(w) for w in rng.integers(4, 6, size=2)]
+        net = Network(
+            [Layer(rng.uniform(-1.0, 1.0, size=(widths[0], 2)), rng.uniform(-0.5, 0.5, size=widths[0]), True),
+             Layer(rng.uniform(-1.0, 1.0, size=(widths[1], widths[0])), rng.uniform(-0.5, 0.5, size=widths[1]), True),
+             Layer(rng.uniform(-1.0, 1.0, size=(1, widths[1])), rng.uniform(-0.5, 0.5, size=1), False)],
+            2,
+        )
+        box = InputBox([-1.0, -1.0], [1.0, 1.0])
+        phases = [np.zeros(w, dtype=np.int8) for w in widths]
+        if sum(widths) > 8 and trial % 2:
+            phases[0][0] = rng.choice([-1, 1])
+        assert sum(int(np.count_nonzero(p == 0)) for p in phases) >= 7
+        y = forward_batch(net, rng.uniform(-1.0, 1.0, size=(2000, 2)))[:, 0]
+        c = float(rng.uniform(y.min(), y.max() + 0.3))
+        x, i = _one_completion_at_a_time(net, box, phases, c)
+        got = first_feasible_completion(net, box, phases, c)
+        assert (got is None) == (x is None), trial
+        if x is None:
+            unsat += 1
+            continue
+        assert got.tobytes() == x.tobytes(), trial
+        late_sat += i >= solver.BATCH
+    assert late_sat >= 2 and unsat >= 2, (late_sat, unsat)
+
+
 # A fake ``solver.feasible_point`` answers each leaf LP from a script: a
 # numerical failure, a marginal point (feasible for the LP, rejected by
 # ``is_witness``) or a good point.  On 1-2-1 with threshold 700, y = 34 x
@@ -598,7 +689,8 @@ def test_leaf_lp_is_re_solved_once_with_tighter_tolerances(net121, monkeypatch, 
     def decide():
         if reference:
             return first_feasible_completion(net121, box, modes, 700.0)
-        return _solve_leaf(net121, box, modes, modes, 700.0)
+        stack = [m[None] for m in modes]
+        return _first_leaf_witness(net121, box, stack, stack, 700.0, lambda: False)
 
     if isinstance(outcome, type):
         with pytest.raises(outcome):
@@ -637,8 +729,8 @@ def test_root_leaf_corner_agrees_with_the_leaf_lp():
             continue
         leaves += 1
         v = solve(Query(net, box, OutputProperty(c)))
-        root = tuple(np.zeros(size, dtype=np.int8) for size in net.hidden_sizes)
-        x_lp = _solve_leaf(net, box, modes, root, c)
+        root = [np.zeros((1, size), dtype=np.int8) for size in net.hidden_sizes]
+        x_lp = _first_leaf_witness(net, box, [m[None] for m in modes], root, c, lambda: False)
         assert (v.status is Status.SAT) == (x_lp is not None), leaves
         if x_lp is None:
             unsat += 1
