@@ -8,36 +8,35 @@ with a negative reduced cost, still Bland's rule, and the elimination is one
 rank-1 update of the tableau.  Floating-point tableau only; intended for the
 small, well-scaled systems produced by fixed-phase network branches.
 
-Presolve.  Before building a tableau, ``feasible_point`` runs bound
-propagation over the rows and the box (``_propagation_refutes``): it checks
-each row's minimum over the box, shrinks each variable's bounds by each
-row's slack, and checks again, for at most ``PRESOLVE_SWEEPS`` sweeps,
+Presolve.  ``feasible_point`` is the tableau alone.  The bound-propagation
+presolve, ``_propagation_refutes``, runs in ``solver``'s leaf path only,
+over all the leaves of one row build, before any of their tableaus: it
+checks each row's minimum over the box, shrinks each variable's bounds by
+each row's slack, and checks again, for at most ``PRESOLVE_SWEEPS`` sweeps,
 stopping early once no bound moves.  A one-row system gets only the first
 check, since a row over a box is met somewhere whenever its minimum meets
 it.  Most empty branch-and-bound leaves are refuted this way, without a
 pivot.
 
-Its margin is the tableau's own ``feas_tol``: propagation runs on the rows
-relaxed by ``feas_tol`` times their tableau scale ``max(|row|, 1)``, and
-crossing bounds refute only when they cross by more than ``feas_tol``.  A
-box point the tableau would accept misses each row violated at ``lo`` by at
-most ``feas_tol`` scaled (each such row carries an artificial variable, and
-their sum is at most ``feas_tol``) and meets every other row, so it meets
-every relaxed row: propagation never refutes a system the tableau solves.
-Every other system goes to the unchanged tableau on the original box, so a
-feasible system returns the same point, bit for bit, as without the
-presolve, and no witness or search decision built on it can change.
+Its margin is ``FEAS_TOL``, the tableau's default ``feas_tol``: propagation
+runs on the rows relaxed by ``FEAS_TOL`` times their tableau scale
+``max(|row|, 1)``, and crossing bounds refute only when they cross by more
+than ``FEAS_TOL``.  A box point the tableau would accept at that margin
+misses each row violated at ``lo`` by at most ``FEAS_TOL`` scaled (each
+such row carries an artificial variable, and their sum is at most
+``FEAS_TOL``) and meets every other row, so it meets every relaxed row:
+propagation never refutes a system the tableau solves at its defaults, and
+a system it keeps gets the tableau unchanged.
 
 The presolve takes K systems over one box at once, ``A`` of shape
-``(K, m, n)``, and gives one flag per system.  ``feasible_point`` gives it
-a stack of one; ``solver``'s leaf path gives it all the leaves of one row
-build.  A system leaves the stack once it is decided, so each runs exactly
-the checks and sweeps it would run in a stack of one, and ``@`` over a
-leading axis runs the one-system product on each slice.  A system with
-fewer rows is padded with neutral rows, zero rows with right-hand side 0,
-which every box point meets and which bound no variable, so the padding
-changes no flag.  (A one-row system padded this way runs sweeps, but they
-leave its one slack as it was and cannot refute it.)
+``(K, m, n)``, and gives one flag per system.  A system leaves the stack
+once it is decided, so each runs exactly the checks and sweeps it would
+run in a stack of one, and ``@`` over a leading axis runs the one-system
+product on each slice.  A system with fewer rows is padded with neutral
+rows, zero rows with right-hand side 0, which every box point meets and
+which bound no variable, so the padding changes no flag.  (A one-row
+system padded this way runs sweeps, but they leave its one slack as it
+was and cannot refute it.)
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 # suite time, with no measurable change to oracle-small's set-up time.
 PRESOLVE_SWEEPS = 6
 
-# The tableau's default feasibility margin, which the presolve shares.
+# The tableau's default feasibility margin, and the presolve's only one.
 FEAS_TOL = 1e-8
 
 
@@ -68,7 +67,7 @@ def feasible_point(
 ) -> np.ndarray | None:
     """Return some x with ``A x <= b`` inside the box, or None if infeasible."""
     A, b, lo, hi = _system(A, b, lo, hi)
-    if np.any(lo > hi) or _propagation_refutes(A[None], b[None], lo, hi, feas_tol)[0]:
+    if np.any(lo > hi):
         return None
     return _tableau(A, b, lo, hi, tol, feas_tol)
 
@@ -87,19 +86,19 @@ def _system(A, b, lo, hi):
     return A, b, lo, hi
 
 
-def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> np.ndarray:
+def _propagation_refutes(A, b, lo, hi) -> np.ndarray:
     """For each of K systems ``A x <= b`` over one box, ``A`` of shape
     ``(K, m, n)`` and ``b`` of shape ``(K, m)``: True if bound propagation
-    proves that no box point meets every row relaxed by ``feas_tol`` times
+    proves that no box point meets every row relaxed by ``FEAS_TOL`` times
     the row's tableau scale.
 
     The rows' minima over the box are checked against their relaxed
     right-hand sides; then, up to ``PRESOLVE_SWEEPS`` times, every variable's
     bounds shrink by every row's slack and the minima are checked again over
     the shrunken box.  Propagation stops early once no bound moves.  Bounds
-    that cross refute only when they cross by more than ``feas_tol``.
+    that cross refute only when they cross by more than ``FEAS_TOL``.
     """
-    b = b + feas_tol * np.maximum(np.abs(A).max(axis=-1), 1.0)
+    b = b + FEAS_TOL * np.maximum(np.abs(A).max(axis=-1), 1.0)
     Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
     slack = b - Ap @ lo - An @ hi
     refuted = (slack < 0.0).any(axis=-1)
@@ -107,7 +106,7 @@ def _propagation_refutes(A, b, lo, hi, feas_tol: float) -> np.ndarray:
     if A.shape[1] <= 1 or refuted.all():
         return refuted
     live = np.flatnonzero(~refuted)
-    refuted[live] = _sweeps_refute(A[live], b[live], Ap[live], An[live], slack[live], lo, hi, feas_tol)
+    refuted[live] = _sweeps_refute(A[live], b[live], Ap[live], An[live], slack[live], lo, hi)
     return refuted
 
 
@@ -117,7 +116,7 @@ def _times(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def _sweeps_refute(A, b, Ap, An, slack, lo, hi, feas_tol: float) -> np.ndarray:
+def _sweeps_refute(A, b, Ap, An, slack, lo, hi) -> np.ndarray:
     """The sweeps of ``_propagation_refutes`` over K stacked systems that
     pass the first check, one flag per system.  A system leaves the stack
     once it is decided, so each runs exactly the sweeps it would run alone."""
@@ -135,7 +134,7 @@ def _sweeps_refute(A, b, Ap, An, slack, lo, hi, feas_tol: float) -> np.ndarray:
         go = ~crossed & ((new_lo != lo).any(axis=1) | (new_hi != hi).any(axis=1))
         lo, hi = new_lo, new_hi
         if not go.all():
-            refuted[live[crossed]] = (lo[crossed] > hi[crossed] + feas_tol).any(axis=1)
+            refuted[live[crossed]] = (lo[crossed] > hi[crossed] + FEAS_TOL).any(axis=1)
             if not go.any():
                 break
             live, b, Ap, An, pos, neg, inv, lo, hi = (a[go] for a in (live, b, Ap, An, pos, neg, inv, lo, hi))

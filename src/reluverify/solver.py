@@ -110,12 +110,11 @@ Tolerance policy.  Three constants fix every tolerance of a verdict:
   (``first_feasible_completion``) included: ``_leaf_witness`` is the one
   place an LP answer becomes a witness or None.
 
-The simplex's bound-propagation presolve (at most
+The leaf path's bound-propagation presolve (at most
 ``simplex.PRESOLVE_SWEEPS`` sweeps) adds no tolerance of its own: it
-refutes a leaf only past the ``feas_tol`` margin the tableau applies.  The
-leaf path's presolve uses the first run's margin, ``simplex.FEAS_TOL``,
-and refutes exactly the leaves whose first ``feasible_point`` would refute
-them, which that run returns None for without a retry.
+refutes a leaf only past ``simplex.FEAS_TOL``, the first run's margin, so
+it never refutes a leaf whose first run would return a point.  A
+survivor's LP, first run and retry alike, runs the tableau only.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ import numpy as np
 
 from .bounds import ACTIVE, INACTIVE, UNKNOWN, sbt
 from .network import InputBox, Network, Query, evaluate
-from .simplex import FEAS_TOL, SimplexError, _propagation_refutes, feasible_point
+from .simplex import SimplexError, _propagation_refutes, feasible_point
 
 EPSILON = 1e-6
 WITNESS_SLACK = 1e-9
@@ -221,7 +220,7 @@ def _first_leaf_witness(net: Network, box: InputBox, modes, phases, threshold: f
     A, b, keep = _leaf_rows(net, modes, phases, threshold + EPSILON)
     if timed_out():
         return Status.TIMEOUT
-    for n in np.flatnonzero(~_propagation_refutes(A, b, box.lower, box.upper, FEAS_TOL)):
+    for n in np.flatnonzero(~_propagation_refutes(A, b, box.lower, box.upper)):
         if timed_out():
             return Status.TIMEOUT
         x = _leaf_witness(net, box, A[n][keep[n]], b[n][keep[n]], threshold)

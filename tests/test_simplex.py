@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reluverify import simplex, solver
-from reluverify.simplex import SimplexError, feasible_point
+from reluverify.simplex import FEAS_TOL, SimplexError, feasible_point
 from reluverify.solver import EPSILON, RETRY_TOLERANCES, first_feasible_completion, solve
 
 from conftest import oracle_queries_and_split_twins
@@ -209,38 +209,35 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _first_check_refutes(A, b, lo, hi, feas_tol):
+def _first_check_refutes(A, b, lo, hi):
     """A row's minimum over the box exceeds its right-hand side by more than
-    ``feas_tol`` times the row's tableau scale."""
+    ``FEAS_TOL`` times the row's tableau scale."""
     scale = np.maximum(np.abs(A).max(axis=1), 1.0)
-    return bool(np.any(np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi > b + feas_tol * scale))
+    return bool(np.any(np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi > b + FEAS_TOL * scale))
 
 
-def _refutes_alone(A, b, lo, hi, feas_tol):
+def _refutes_alone(A, b, lo, hi):
     """The presolve's flag for one system, on a stack of one."""
-    flags = simplex._propagation_refutes(A[None], b[None], lo, hi, feas_tol)
+    flags = simplex._propagation_refutes(A[None], b[None], lo, hi)
     assert flags.shape == (1,) and flags.dtype == bool
     return bool(flags[0])
 
 
 def _compare_with_tableau(A, b, lo, hi, tolerances, counts):
-    """``feasible_point`` returns None exactly when the tableau alone does,
-    and otherwise the tableau's bytes.  Where the tableau fails numerically,
-    a refutation by propagation is also accepted.  ``counts`` tallies the
-    infeasible systems and how the propagation decided them."""
-    tol = {**DEFAULT_TOLERANCES, **tolerances}
+    """``feasible_point`` is the tableau alone: its outcome equals the
+    tableau's, byte for byte.  The presolve never refutes a system the
+    tableau returns a point for.  ``counts`` tallies the infeasible systems
+    and how the presolve decided them."""
     ours, _ = _outcome(feasible_point, A, b, lo, hi, **tolerances)
     system = simplex._system(A, b, lo, hi)
-    tableau, _ = _outcome(simplex._tableau, *system, **tol)
-    refuted = _refutes_alone(*system, tol["feas_tol"])
-    if tableau[0] == "error" and refuted:
-        assert ours == ("none",)
-    else:
-        assert ours == tableau
+    tableau, _ = _outcome(simplex._tableau, *system, **{**DEFAULT_TOLERANCES, **tolerances})
+    assert ours == tableau
+    refuted = _refutes_alone(*system)
+    assert not (refuted and tableau[0] == "point")
     if tableau[0] != "point":
         counts["infeasible"] += 1
         counts["refuted"] += refuted
-        counts["tightened"] += refuted and not _first_check_refutes(*system, tol["feas_tol"])
+        counts["tightened"] += refuted and not _first_check_refutes(*system)
 
 
 def _counts():
@@ -285,13 +282,13 @@ def test_presolve_agrees_with_tableau_on_solver_leaves_and_completions(tmp_path,
         assert counts["tightened"] > 0, counts
 
 
-def _marginal_rhs(rng, A, lo, hi, feas_tol):
+def _marginal_rhs(rng, A, lo, hi):
     """Right-hand sides that put each row's minimum over the box just inside
-    (``A x <= b`` misses by under ``feas_tol`` scaled) or just outside the
+    (``A x <= b`` misses by under ``FEAS_TOL`` scaled) or just outside the
     tableau's margin."""
     scale = np.maximum(np.abs(A).max(axis=1), 1.0)
     row_min = np.maximum(A, 0.0) @ lo + np.minimum(A, 0.0) @ hi
-    return row_min - rng.choice([0.5, 2.0], size=A.shape[0]) * feas_tol * scale
+    return row_min - rng.choice([0.5, 2.0], size=A.shape[0]) * FEAS_TOL * scale
 
 
 def _presolve_box(rng, i):
@@ -304,7 +301,7 @@ def _presolve_box(rng, i):
     return lo, hi
 
 
-def _presolve_system(rng, i, lo, hi, feas_tol):
+def _presolve_system(rng, i, lo, hi):
     """A seeded system over the box with 0, 1 or many rows, of the kind
     ``i % 5`` picks: plain, equalities written as two rows, feasible at a
     single point, or within or just past the tableau's margin."""
@@ -324,55 +321,51 @@ def _presolve_system(rng, i, lo, hi, feas_tol):
         A = np.vstack([M, -M, A])
         b = np.concatenate([M @ p, -(M @ p), b])
     elif kind == 3 and m:  # rows missing by about the tableau's margin
-        b = _marginal_rhs(rng, A, lo, hi, feas_tol)
+        b = _marginal_rhs(rng, A, lo, hi)
     return A, b
 
 
-def _presolve_systems(rng, count, feas_tol):
+def _presolve_systems(rng, count):
     """Seeded systems (``_presolve_system``), each over its own box."""
     for i in range(count):
         lo, hi = _presolve_box(rng, i)
-        yield (*_presolve_system(rng, i, lo, hi, feas_tol), lo, hi)
+        yield (*_presolve_system(rng, i, lo, hi), lo, hi)
 
 
-@pytest.mark.parametrize("tolerances", [{}, RETRY_TOLERANCES], ids=["default", "retry"])
-def test_presolve_agrees_with_tableau_on_seeded_systems(tolerances):
+def test_presolve_agrees_with_tableau_on_seeded_systems():
     rng = np.random.default_rng(72)
-    feas_tol = {**DEFAULT_TOLERANCES, **tolerances}["feas_tol"]
     counts, outcomes = _counts(), set()
-    for A, b, lo, hi in _presolve_systems(rng, 1500, feas_tol):
-        _compare_with_tableau(A, b, lo, hi, tolerances, counts)
-        outcomes.add((A.shape[0] > 1, feasible_point(A, b, lo, hi, **tolerances) is None))
+    for A, b, lo, hi in _presolve_systems(rng, 1500):
+        _compare_with_tableau(A, b, lo, hi, {}, counts)
+        outcomes.add((A.shape[0] > 1, feasible_point(A, b, lo, hi) is None))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
     assert counts["refuted"] > 0.5 * counts["infeasible"] and counts["tightened"] > 0, counts
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("tolerances", [{}, RETRY_TOLERANCES], ids=["default", "retry"])
-def test_batched_presolve_equals_one_system_presolve(tolerances):
+def test_batched_presolve_equals_one_system_presolve():
     # Stacks of 1 to 8 seeded systems over one box, each padded to the
     # stack's row count with neutral rows (zero rows with right-hand side 0)
     # at random places, as a batch's leaf rows are: every system's flag is
     # the presolve's flag for a stack of one of its own unpadded rows.
     rng = np.random.default_rng(79)
-    feas_tol = {**DEFAULT_TOLERANCES, **tolerances}["feas_tol"]
     seen = {"refuted": 0, "kept": 0, "tightened": 0, "mixed": 0, "padded_one_row": 0}
     for i in range(400):
         lo, hi = _presolve_box(rng, i)
         K = int(rng.integers(1, 9))
-        systems = [_presolve_system(rng, i + k, lo, hi, feas_tol) for k in range(K)]
+        systems = [_presolve_system(rng, i + k, lo, hi) for k in range(K)]
         m = max(A.shape[0] for A, _ in systems) + int(rng.integers(0, 3))
         stack_A, stack_b = np.zeros((K, m, lo.shape[0])), np.zeros((K, m))
         for k, (A, b) in enumerate(systems):
             rows = np.sort(rng.choice(m, size=A.shape[0], replace=False))
             stack_A[k, rows], stack_b[k, rows] = A, b
-        flags = simplex._propagation_refutes(stack_A, stack_b, lo, hi, feas_tol)
+        flags = simplex._propagation_refutes(stack_A, stack_b, lo, hi)
         assert flags.dtype == bool and flags.shape == (K,)
         for k, (A, b) in enumerate(systems):
-            one = _refutes_alone(A, b, lo, hi, feas_tol)
+            one = _refutes_alone(A, b, lo, hi)
             assert flags[k] == one, (i, k)
             seen["refuted" if one else "kept"] += 1
-            seen["tightened"] += one and not _first_check_refutes(A, b, lo, hi, feas_tol)
+            seen["tightened"] += one and not _first_check_refutes(A, b, lo, hi)
             seen["padded_one_row"] += A.shape[0] == 1 and m > 1
         seen["mixed"] += 0 < flags.sum() < K
     assert min(seen.values()) > 20, seen
@@ -380,13 +373,13 @@ def test_batched_presolve_equals_one_system_presolve(tolerances):
 
 def test_presolve_keeps_rows_within_the_tableau_margin():
     # x <= 0.5 and x >= 0.5 + delta: the tableau returns a point when delta is
-    # under feas_tol, and the presolve must not refute it; well past the
+    # under FEAS_TOL, and the presolve must not refute it; well past the
     # margin both refute.
     lo, hi = np.array([0.0]), np.array([1.0])
     A = np.array([[1.0], [-1.0]])
     for delta, feasible in ((0.5e-8, True), (5e-8, False)):
         b = np.array([0.5, -0.5 - delta])
-        assert _refutes_alone(A, b, lo, hi, 1e-8) is not feasible
+        assert _refutes_alone(A, b, lo, hi) is not feasible
         assert (feasible_point(A, b, lo, hi) is not None) is feasible
     # Rows whose minima fit the box, but which propagation refutes: the first
     # system needs raised lower bounds, the second lowered upper bounds
@@ -397,6 +390,6 @@ def test_presolve_keeps_rows_within_the_tableau_margin():
         ([[0.0, 1.0], [-1.0, -1.0], [1.0, 0.0]], [0.1, -1.0, 0.5]),
     ):
         A, b = np.array(A), np.array(b)
-        assert not _first_check_refutes(A, b, lo, hi, 1e-8)
-        assert _refutes_alone(A, b, lo, hi, 1e-8)
+        assert not _first_check_refutes(A, b, lo, hi)
+        assert _refutes_alone(A, b, lo, hi)
         assert feasible_point(A, b, lo, hi) is None

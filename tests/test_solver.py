@@ -20,7 +20,7 @@ from reluverify import (
     preprocess,
     solve,
 )
-from reluverify import solver
+from reluverify import simplex, solver
 from reluverify.bounds import BoundsMap
 from reluverify.harness import _gen_oracle_query
 from reluverify.simplex import SimplexError, feasible_point
@@ -369,10 +369,34 @@ def test_a_dropped_row_with_a_negative_right_hand_side_refutes_nothing():
     assert b_all[0, 0] < 0.0
     A, b, keep = _leaf_rows(net, modes, phases, 4.5)
     assert b[0, 0] == 0.0 and not A[0, 0].any() and not keep[0, 0]
-    refuted = solver._propagation_refutes(A, b, box.lower, box.upper, 1e-8)
+    refuted = solver._propagation_refutes(A, b, box.lower, box.upper)
     assert refuted.tolist() == [False, False]
     x = _first_leaf_witness(net, box, node_modes, node_phases, 4.5 - EPSILON, lambda: False)
     assert x is not None and evaluate(net, x)[0] >= 4.5 - 1e-9
+
+
+def test_each_leaf_lp_is_presolved_once(monkeypatch):
+    # The output -|x - 0.3| reaches c + EPSILON only within 1e-5 of x = 0.3,
+    # closer than sampling gets, so the search reaches leaf LPs.  The leaf
+    # path presolves once per call, and its LPs run the tableau alone: the
+    # simplex module never presolves.
+    net = Network([Layer([[1.0], [-1.0]], [-0.3, 0.3], True), Layer([[-1.0, -1.0]], [0.0], False)], 1)
+    q = Query(net, InputBox([-1.0], [1.0]), OutputProperty(-1e-5))
+    calls = {"simplex": 0, "solver": 0, "path": 0, "lp": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real_presolve = simplex._propagation_refutes
+    monkeypatch.setattr(simplex, "_propagation_refutes", counted("simplex", real_presolve))
+    monkeypatch.setattr(solver, "_propagation_refutes", counted("solver", real_presolve))
+    monkeypatch.setattr(solver, "_first_leaf_witness", counted("path", solver._first_leaf_witness))
+    monkeypatch.setattr(solver, "feasible_point", counted("lp", solver.feasible_point))
+    assert solve(q).status is Status.SAT
+    assert calls["simplex"] == 0 and calls["solver"] == calls["path"] and calls["lp"] >= 1, calls
 
 
 def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypatch):
@@ -525,7 +549,7 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
         built.append(len(phases[0]))
         return real_rows(net, modes, phases, target)
 
-    def presolve(A, b, lo, hi, feas_tol):
+    def presolve(A, b, lo, hi):
         presolved.append(len(A))
         return np.zeros(len(A), dtype=bool)
 
@@ -545,9 +569,9 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
         now[0] += 4.0
         return real_rows(net, modes, phases, target)
 
-    def recording_presolve(A, b, lo, hi, feas_tol):
+    def recording_presolve(A, b, lo, hi):
         presolved.append(len(A))
-        return real_presolve(A, b, lo, hi, feas_tol)
+        return real_presolve(A, b, lo, hi)
 
     monkeypatch.setattr(solver, "_leaf_rows", slow_rows)
     monkeypatch.setattr(solver, "_propagation_refutes", recording_presolve)
