@@ -273,8 +273,9 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
         rows = _sum_columns(rows, orders[L - 1])
     W, b = np.concatenate([layers[L].weights, rows]), np.concatenate([layers[L].biases, biases])
     layers[L] = _trusted_layer(W.take(order, axis=0), b.take(order), relu=True)
-    # The split's two columns, each summed over a fresh gather, which adds
-    # in the order _sum_columns would (a sum over a view adds in another).
+    # The split's two columns, each summed over a fresh gather, which adds in
+    # the order _sum_columns would (a sum over a view adds in another); calling
+    # _sum_columns(C, split) here took 20 us a split against these 7 us.
     C = collapsed[L + 1]
     new = [C[:, [member]].sum(axis=1, keepdims=True), C[:, split.members[1:]].sum(axis=1, keepdims=True)]
     W = np.concatenate([layers[L + 1].weights, *new], axis=1)

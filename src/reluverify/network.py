@@ -28,9 +28,14 @@ class ValidationError(ValueError):
 
 def _as_floats(values, name: str) -> np.ndarray:
     try:
-        return np.array(values, dtype=np.float64)
+        arr = np.array(values)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{name}: expected numbers ({e})") from e
+    # One dtype check per array: numpy would convert strings and booleans.
+    if arr.dtype.kind not in "iuf":
+        got = {"b": "booleans", "U": "strings"}.get(arr.dtype.kind, f"{arr.dtype} entries")
+        raise ValidationError(f"{name}: expected numbers, got {got}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -195,6 +200,9 @@ class OutputProperty:
 
     def __init__(self, threshold: float):
         try:
+            # float() would read "800" as 800 and True as 1.
+            if isinstance(threshold, (str, bool, np.bool_)):
+                raise TypeError
             t = float(threshold)
         except (TypeError, ValueError) as e:
             raise ValidationError(f"threshold must be a number, got {threshold!r}") from e

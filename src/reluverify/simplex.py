@@ -10,13 +10,13 @@ small, well-scaled systems produced by fixed-phase network branches.
 
 Presolve.  ``feasible_point`` is the tableau alone.  The bound-propagation
 presolve, ``_propagation_refutes``, runs in ``solver``'s leaf path only,
-over all the leaves of one row build, before any of their tableaus: it
-checks each row's minimum over the box, shrinks each variable's bounds by
-each row's slack, and checks again, for at most ``PRESOLVE_SWEEPS`` sweeps,
-stopping early once no bound moves.  A one-row system gets only the first
-check, since a row over a box is met somewhere whenever its minimum meets
-it.  Most empty branch-and-bound leaves are refuted this way, without a
-pivot.
+over all the leaves of one row build, before any of their tableaus.  It
+is one loop of at most ``PRESOLVE_SWEEPS + 1`` passes, and the box check
+is its first pass: a pass checks each row's minimum over the box and,
+except on the last pass, shrinks each variable's bounds by each row's
+slack; a system leaves once its bounds stop moving.  A one-row system gets
+only the first check, since a row over a box is met somewhere whenever its
+minimum meets it.  Most empty leaves are refuted this way, without a pivot.
 
 Its margin is ``FEAS_TOL``, the tableau's default ``feas_tol``: propagation
 runs on the rows relaxed by ``FEAS_TOL`` times their tableau scale
@@ -30,13 +30,13 @@ a system it keeps gets the tableau unchanged.
 
 The presolve takes K systems over one box at once, ``A`` of shape
 ``(K, m, n)``, and gives one flag per system.  A system leaves the stack
-once it is decided, so each runs exactly the checks and sweeps it would
-run in a stack of one, and ``@`` over a leading axis runs the one-system
+once it is decided, so each runs exactly the passes it would run in a
+stack of one, and ``@`` over a leading axis runs the one-system
 product on each slice.  A system with fewer rows is padded with neutral
 rows, zero rows with right-hand side 0, which every box point meets and
 which bound no variable, so the padding changes no flag.  (A one-row
-system padded this way runs sweeps, but they leave its one slack as it
-was and cannot refute it.)
+system padded this way runs more passes, but they leave its one slack as
+it was and cannot refute it.)
 """
 
 from __future__ import annotations
@@ -92,39 +92,27 @@ def _propagation_refutes(A, b, lo, hi) -> np.ndarray:
     proves that no box point meets every row relaxed by ``FEAS_TOL`` times
     the row's tableau scale.
 
-    The rows' minima over the box are checked against their relaxed
-    right-hand sides; then, up to ``PRESOLVE_SWEEPS`` times, every variable's
-    bounds shrink by every row's slack and the minima are checked again over
-    the shrunken box.  Propagation stops early once no bound moves.  Bounds
-    that cross refute only when they cross by more than ``FEAS_TOL``.
+    Each pass checks the rows' minima over the box, the first pass over the
+    shared box, against their relaxed right-hand sides, then shrinks each
+    system's bounds by its rows' slacks (see "Presolve" above).  Bounds that
+    cross refute only when they cross by more than ``FEAS_TOL``.
     """
     b = b + FEAS_TOL * np.maximum(np.abs(A).max(axis=-1), 1.0)
     Ap, An = np.maximum(A, 0.0), np.minimum(A, 0.0)
-    slack = b - Ap @ lo - An @ hi
-    refuted = (slack < 0.0).any(axis=-1)
-    # One row is met somewhere in the box if its minimum meets it.
-    if A.shape[1] <= 1 or refuted.all():
-        return refuted
-    live = np.flatnonzero(~refuted)
-    refuted[live] = _sweeps_refute(A[live], b[live], Ap[live], An[live], slack[live], lo, hi)
-    return refuted
-
-
-def _times(M, v):
-    """``M @ v`` with ``v`` as a one-column matrix, so that a stacked ``M``
-    runs the one-system product on each slice."""
-    return (M @ v[..., None])[..., 0]
-
-
-def _sweeps_refute(A, b, Ap, An, slack, lo, hi) -> np.ndarray:
-    """The sweeps of ``_propagation_refutes`` over K stacked systems that
-    pass the first check, one flag per system.  A system leaves the stack
-    once it is decided, so each runs exactly the sweeps it would run alone."""
-    refuted = np.zeros(A.shape[0], dtype=bool)
-    live = np.arange(A.shape[0])
     pos, neg = A > 0.0, A < 0.0
     inv = np.divide(1.0, A, out=np.zeros_like(A), where=pos | neg)
-    for _ in range(PRESOLVE_SWEEPS):
+    refuted = np.zeros(A.shape[0], dtype=bool)
+    live = np.arange(A.shape[0])
+    for sweep in range(PRESOLVE_SWEEPS + 1):
+        slack = b - _times(Ap, lo) - _times(An, hi)
+        met = ~(slack < 0.0).any(axis=-1)
+        refuted[live[~met]] = True
+        # One row is met somewhere in the box if its minimum meets it.
+        if sweep == PRESOLVE_SWEEPS or A.shape[1] <= 1 or not met.any():
+            return refuted
+        if not met.all():
+            live, b, Ap, An, pos, neg, inv, slack = (a[met] for a in (live, b, Ap, An, pos, neg, inv, slack))
+            lo, hi = (lo[met], hi[met]) if sweep else (lo, hi)
         # Row i bounds x_j by its slack: a_ij > 0 caps x_j at lo_j + slack_i / a_ij,
         # and a_ij < 0 lifts it to hi_j + slack_i / a_ij.
         step = slack[..., None] * inv
@@ -135,19 +123,13 @@ def _sweeps_refute(A, b, Ap, An, slack, lo, hi) -> np.ndarray:
         lo, hi = new_lo, new_hi
         if not go.all():
             refuted[live[crossed]] = (lo[crossed] > hi[crossed] + FEAS_TOL).any(axis=1)
-            if not go.any():
-                break
             live, b, Ap, An, pos, neg, inv, lo, hi = (a[go] for a in (live, b, Ap, An, pos, neg, inv, lo, hi))
-        slack = b - _times(Ap, lo) - _times(An, hi)
-        met = ~(slack < 0.0).any(axis=1)
-        if not met.all():
-            refuted[live[~met]] = True
-            if not met.any():
-                break
-            live, b, Ap, An, pos, neg, inv, lo, hi, slack = (
-                a[met] for a in (live, b, Ap, An, pos, neg, inv, lo, hi, slack)
-            )
-    return refuted
+
+
+def _times(M, v):
+    """``M @ v`` with ``v`` as a one-column matrix, so that a stacked ``M``
+    runs the one-system product on each slice."""
+    return (M @ v[..., None])[..., 0]
 
 
 def _tableau(A, b, lo, hi, tol: float, feas_tol: float) -> np.ndarray | None:

@@ -40,30 +40,31 @@ exact output reaches ``c + EPSILON``, the falsifier's rule below, it is
 the witness.  This one check covers two cases where a witness is known
 to exist: when the root's sound lower bound clears ``c + EPSILON`` every
 box point is one, and at a root leaf (every neuron stable) the network
-is affine on the box, so the corner is its maximum.  A root leaf whose
-corner misses goes to the leaf path as a batch of one, so UNSAT still
-comes only from its presolve or LP, and a root leaf costs a presolve and
-at most one LP only when the corner misses.  Any other root whose corner
-misses goes to the falsifier and then the search.
+is affine on the box, so the corner is its maximum.  A root that is not
+a leaf and whose corner misses goes to the falsifier.  Then the root is
+the search's first batch, its arrays given a leading node axis, and the
+step every batch takes branches it or sends it to the leaf path.  So a
+root leaf's UNSAT comes only from its presolve or LP, which run only
+when the corner misses.
 
-The other nodes are bounded in batches.  ``solve`` pops up to ``BATCH``
-nodes off the top of its depth-first stack and bounds them with one
-``sbt`` call, whose phases carry a leading node axis.  The
-phase-conflict check, the prune and the branch choice then run over the
-whole batch at once.  Each node is bounded from the input: ``sbt`` gives
-every node of a batch the arrays of a one-node call on its phases.  A
-node's bound therefore depends only on its phases, so the same node is
-closed, branched the same way or sent to the same LP whatever batch it
-is in, and an UNSAT search visits the same tree as a one-node search.  A
-SAT search may stop at another leaf, because a batch runs its leaves'
-LPs before the children of its other nodes.  The conflict check covers
-every layer.  At a child's branch layer and below it, that check finds
-nothing: those layers' pre-activation bounds are the parent's, which
+Every later batch is bounded at the end of the step before it.
+``solve`` pops up to ``BATCH`` nodes off the top of its depth-first stack
+and bounds them with one ``sbt`` call, whose phases carry a leading node
+axis.  The phase-conflict check, the prune and the branch choice then
+run over the whole batch at once.  Each node is bounded from the input:
+``sbt`` gives every node of a batch the arrays of a one-node call on its
+phases.  A node's bound therefore depends only on its phases, so the same
+node is closed, branched the same way or sent to the same LP whatever
+batch it is in, and an UNSAT search visits the same tree as a one-node
+search.  A SAT search may stop at another leaf, because a batch runs its
+leaves' LPs before the children of its other nodes.  The conflict check
+covers every layer.  At a child's branch layer and below it, that check
+finds nothing: those layers' pre-activation bounds are the parent's, which
 passed, and the branched twin class was unknown in the parent
 (``plo < 0 < phi``).
 
 Every leaf LP goes through one leaf path, ``_first_leaf_witness``: a
-batch's leaves, the root leaf as a batch of one, and the completions of
+batch's leaves, the root's among them, and the completions of
 ``first_feasible_completion``, ``BATCH`` at a time.  One ``_leaf_rows``
 call builds all of its leaves' rows, with a zero row and right-hand side 0
 in place of each row a leaf does not keep, and one
@@ -127,7 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ACTIVE, INACTIVE, UNKNOWN, sbt
+from .bounds import ACTIVE, INACTIVE, UNKNOWN, BoundsMap, sbt
 from .network import InputBox, Network, Query, evaluate
 from .simplex import SimplexError, _propagation_refutes, feasible_point
 
@@ -340,7 +341,6 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
     if timeout is not None and timeout <= 0:
         return verdict(Status.TIMEOUT)
 
-    root = tuple(np.zeros(sz, dtype=np.int8) for sz in net.hidden_sizes)
     nodes = 1
     relu_modes, bm = sbt(net, box)
     if bm.output_interval[1] <= c:
@@ -353,15 +353,10 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
     x = np.where(g > 0.0, box.upper, box.lower)
     if evaluate(net, x)[0] >= c + EPSILON:
         return verdict(Status.SAT, x)
-    branch = int(_widest_unknown(relu_modes, bm))
-    if branch < 0:
-        x = _first_leaf_witness(net, box, [m[None] for m in relu_modes], [r[None] for r in root], c, timed_out)
-        if x is Status.TIMEOUT:
-            return verdict(Status.TIMEOUT)
-        return verdict(Status.UNSAT) if x is None else verdict(Status.SAT, x)
-    x = _falsify(net, box, c)
-    if x is not None:
-        return verdict(Status.SAT, x, sampled=True)
+    if _widest_unknown(relu_modes, bm) >= 0:
+        x = _falsify(net, box, c)
+        if x is not None:
+            return verdict(Status.SAT, x, sampled=True)
 
     twins: dict[int, tuple[int, np.ndarray]] = {}  # neuron index -> (layer, its twin class)
 
@@ -383,17 +378,12 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
             kids.append(phases[:k] + (ph,) + phases[k + 1 :])
         return kids
 
+    # The root is the first batch, its arrays given a leading node axis.
     # The stack's top is its end; each batch lists its nodes top first.
-    stack = children(root, branch)[::-1]
-    while stack:
-        if timed_out():
-            return verdict(Status.TIMEOUT)
-        batch = stack[: -BATCH - 1 : -1]
-        del stack[-BATCH:]
-        nodes += len(batch)
-        phases = tuple(np.stack(layer) for layer in zip(*batch))
-        relu_modes, bm = sbt(net, box, phases)
-
+    batch, stack = [tuple(np.zeros(sz, dtype=np.int8) for sz in net.hidden_sizes)], []
+    phases, relu_modes = tuple(ph[None] for ph in batch[0]), tuple(mode[None] for mode in relu_modes)
+    bm = BoundsMap(tuple((lo[None], hi[None]) for lo, hi in bm.pre))
+    while True:
         closed = bm.pre[-1][1][:, 0] <= c
         for ph, (plo, phi) in zip(phases, bm.pre):
             closed |= np.any(((ph == ACTIVE) & (phi < 0)) | ((ph == INACTIVE) & (plo > 0)), axis=1)
@@ -412,5 +402,12 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
             if x is not None:
                 return verdict(Status.SAT, x)
         stack += reversed(pushed)
-
-    return verdict(Status.UNSAT)
+        if not stack:
+            return verdict(Status.UNSAT)
+        if timed_out():
+            return verdict(Status.TIMEOUT)
+        batch = stack[: -BATCH - 1 : -1]
+        del stack[-BATCH:]
+        nodes += len(batch)
+        phases = tuple(np.stack(layer) for layer in zip(*batch))
+        relu_modes, bm = sbt(net, box, phases)

@@ -130,6 +130,12 @@ _MISBUILT = [
     pytest.param(1, lambda doc: doc.update(output_threshold="x"), id="query-threshold"),
     pytest.param(1, lambda doc: doc.update(input_lower=[22.0]), id="query-box"),
     pytest.param(1, lambda doc: doc.update(input_lower=[20.0, 0.0], input_upper=[21.0, 1.0]), id="query-dimension"),
+    # numpy and float() would read these as numbers: "10" as 10, true as 1.
+    pytest.param(0, lambda doc: doc["layers"][0].update(weights=[["10"], [1.0]]), id="network-string-weight"),
+    pytest.param(0, lambda doc: doc["layers"][0].update(biases=[False, False]), id="network-boolean-biases"),
+    pytest.param(1, lambda doc: doc.update(output_threshold="800"), id="query-string-threshold"),
+    pytest.param(1, lambda doc: doc.update(output_threshold=True), id="query-boolean-threshold"),
+    pytest.param(1, lambda doc: doc.update(input_lower=["20"]), id="query-string-bound"),
 ]
 
 

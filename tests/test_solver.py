@@ -486,13 +486,9 @@ def test_widest_unknown_matches_loop_reference():
     assert ties > 50 and nones > 50
 
 
-def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
-    # A node's bound depends only on its phases, and a batched ``sbt`` call
-    # gives every node the arrays of a one-node call, so ``BATCH = 1`` must
-    # reach the same verdicts, and on every UNSAT query the same node count,
-    # on the oracle-small queries, their split networks and seeded
-    # 2-hidden-layer networks.
-    queries = oracle_queries_and_split_twins(tmp_path)
+def _two_hidden_layer_queries():
+    """20 seeded queries on random networks with two hidden layers of 4 to
+    8 neurons; some of their searches pop several batches."""
     rng = np.random.default_rng(76)
     for _ in range(20):
         n_in = int(rng.integers(1, 4))
@@ -501,7 +497,17 @@ def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
             Layer(rng.uniform(-1.0, 1.0, size=(sizes[k], sizes[k - 1])), rng.uniform(-0.5, 0.5, size=sizes[k]), k < 3)
             for k in range(1, 4)
         ]
-        q = random_query(rng, net=Network(layers, n_in))
+        yield random_query(rng, net=Network(layers, n_in))
+
+
+def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
+    # A node's bound depends only on its phases, and a batched ``sbt`` call
+    # gives every node the arrays of a one-node call, so ``BATCH = 1`` must
+    # reach the same verdicts, and on every UNSAT query the same node count,
+    # on the oracle-small queries, their split networks and seeded
+    # 2-hidden-layer networks.
+    queries = oracle_queries_and_split_twins(tmp_path)
+    for q in _two_hidden_layer_queries():
         queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
 
     real, batched = solver.sbt, []
@@ -523,6 +529,31 @@ def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
             unsat += 1
             assert v.nodes == w.nodes
     assert unsat > 20 and any(v.status is Status.SAT for v in runs)
+
+
+def test_the_root_is_bounded_once_without_phases(monkeypatch):
+    # The root's bound is the phase-free call, which reuses the layers
+    # ``bounds`` keeps for the box; the root is then the search's first
+    # batch and is not bounded again.  Every later call bounds one batch
+    # with a leading node axis, and the verdict counts the root and their
+    # nodes.
+    real, calls = solver.sbt, []
+
+    def recording(net, box, phases=None):
+        calls.append(phases)
+        return real(net, box, phases)
+
+    monkeypatch.setattr(solver, "sbt", recording)
+    several = 0
+    for q in _two_hidden_layer_queries():
+        calls.clear()
+        v = solve(q, timeout=60.0)
+        assert v.status is not Status.TIMEOUT and calls[0] is None
+        for phases in calls[1:]:
+            assert all(ph.ndim == 2 and len(ph) == len(phases[0]) for ph in phases)
+        assert 1 + sum(len(phases[0]) for phases in calls[1:]) == v.nodes
+        several += len(calls) > 3 and v.nodes > solver.BATCH + 1
+    assert several > 0
 
 
 def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
