@@ -43,17 +43,22 @@ arrays, so identity keys are sound and cost no array comparison; the chain
 check stops a layer that two networks share behind different earlier
 layers from being reused.  Calls with phases neither read nor write
 ``_KEPT``.  So ``cegarette`` bounds the unchanged original once per call,
-``solve``'s root reuses the abstract bound that the gap has just computed,
-and a network that ``refine_split`` made from one split at layer L, which
-shares layers 0..L-1 with the network it came from, is bounded from layer
-L on.  ``loop.verify`` bounds with a box of its own per call, so a repeated
-call on the same ``Query`` bounds afresh.  Sharing is safe because no code
-changes an ``sbt`` result in place.
+``solve``'s root and ``lower_corner`` reuse the abstract bound that the gap
+has just computed, and a network that ``refine_split`` made from one split
+at layer L, which shares layers 0..L-1 with the network it came from, is
+bounded from layer L on.  ``loop.verify`` bounds with a box of its own
+per call, so a repeated call on the same ``Query`` bounds afresh.  Sharing
+is safe because no code changes an ``sbt`` result in place.
 
 If original(x) + d <= abstract(x) on the box, then checking the abstract
 network against ``y > c + d`` over-approximates checking the original
 against ``y > c``: an UNSAT answer for the tightened query carries over.
 ``output_gap`` certifies such a d and ``tighten_property`` applies it.
+``loop.verify`` takes the gap only of an abstract network it may solve.
+Its check of whether to split again at a kept point needs only a bound on
+d: SBT's output lower bound is at most the output at any box point, such
+as an earlier network's ``lower_corner``, so d is at most that output less
+the original's upper bound, or 0.
 """
 
 from __future__ import annotations
@@ -156,6 +161,14 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...
     node or ``(K, n_k)`` for K nodes; the module docstring says what a
     batch returns, and when a call without ``phases`` reuses kept layers.
     """
+    modes, pre_iv, _ = _layers(net, box, phases)
+    return tuple(modes), BoundsMap(tuple(pre_iv))
+
+
+def _layers(net: Network, box: InputBox, phases):
+    """``sbt``'s walk over the layers: its modes and intervals as lists, and
+    the output layer's entry, whose post-activation expressions are the
+    output's own."""
     if box.dim != net.input_size:
         raise ValueError("box dimension does not match network input size")
     modes, pre_iv = [], []
@@ -179,7 +192,20 @@ def sbt(net: Network, box: InputBox, phases=None) -> tuple[tuple[np.ndarray, ...
         if layer.relu:
             modes.append(entry[2])
         pre_iv.append(entry[4])
-    return tuple(modes), BoundsMap(tuple(pre_iv))
+    return modes, pre_iv, entry
+
+
+def lower_corner(net: Network, box: InputBox) -> np.ndarray:
+    """The box corner that minimises SBT's lower expression of the first
+    output, ``where(C > 0, lower, upper)`` over its coefficient row ``C``.
+
+    SBT's output lower bound is that expression's minimum over the box, so
+    it is at most the network's output at this corner.  The expression is
+    the phase-free one, read through ``_KEPT``: right after a phase-free
+    ``sbt`` call on the same network and box this takes no affine step.
+    """
+    C = _layers(net, box, None)[2][3][0][0]
+    return np.where(C > 0.0, box.lower, box.upper)
 
 
 def output_bounds(net: Network, box: InputBox) -> tuple[float, float]:

@@ -353,7 +353,7 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
     x = np.where(g > 0.0, box.upper, box.lower)
     if evaluate(net, x)[0] >= c + EPSILON:
         return verdict(Status.SAT, x)
-    if _widest_unknown(relu_modes, bm) >= 0:
+    if any((mode == UNKNOWN).any() for mode in relu_modes):
         x = _falsify(net, box, c)
         if x is not None:
             return verdict(Status.SAT, x, sampled=True)

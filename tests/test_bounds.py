@@ -358,6 +358,34 @@ def test_root_sbt_is_kept_for_the_same_network_and_box(affine_steps):
     assert all(ref() is None for ref in alive)
 
 
+def test_lower_corner_minimises_the_output_lower_expression(affine_steps):
+    # On seeded networks with up to 8 inputs, and their split networks, the
+    # corner minimises the reference steps' output lower expression over
+    # every corner of the box, so the network's output there is at least
+    # SBT's output lower bound.  Read right after a phase-free ``sbt`` call,
+    # it takes no affine step.
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        base = random_network(rng, n_inputs=int(rng.integers(1, 9)), n_layers=int(rng.integers(1, 4)))
+        box = random_box(rng, base.input_size)
+        bits = np.array(np.meshgrid(*[[0, 1]] * box.dim, indexing="ij")).reshape(box.dim, -1).T
+        corners = np.where(bits == 1, box.upper, box.lower)
+        for net in (base, preprocess(base).network):
+            lo = sbt(net, box)[1].output_interval[0]
+            affine_steps.clear()
+            low = bounds.lower_corner(net, box)
+            assert affine_steps == []
+            assert any(np.array_equal(low, corner) for corner in corners)
+            assert evaluate(net, low)[0] >= lo
+            eye, zero = np.eye(net.input_size), np.zeros(net.input_size)
+            post = (eye, zero, eye, zero)
+            for layer in net.layers:
+                expr, iv = _loop_pre_step(layer, post, box)
+                post = _loop_relu_step(expr, iv, None)[1] if layer.relu else expr
+            lower = corners @ post[0][0] + post[1][0]
+            assert low @ post[0][0] + post[1][0] <= lower.min() + 1e-12 * max(1.0, np.abs(lower).max())
+
+
 def test_split_network_bound_reuses_the_layers_below_the_split(affine_steps):
     # Along seeded refine_split chains, each network's bound, taken right
     # after the bound of the network it was split from at layer L, reuses

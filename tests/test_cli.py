@@ -38,7 +38,7 @@ def test_verify_unsat(query_files, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["verdict"]["status"] == "UNSAT" and doc["verdict"]["sampled"] is False
     assert doc["stats"]["refinement_steps"] == 0 and doc["stats"]["sampled_counterexamples"] == 0
-    assert doc["stats"]["thresholds"] == [1486.0]
+    assert doc["stats"]["thresholds"] == [1486.0] and doc["stats"]["settled_resplits"] == 0
 
 
 def test_verify_all_modes_agree(query_files, capsys):

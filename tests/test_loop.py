@@ -43,7 +43,7 @@ def test_running_example_cegar(query121):
     v, stats = verify(query121, "cegar")
     assert v.status is Status.UNSAT
     assert stats.refinement_steps >= 1
-    assert stats.thresholds == [800.0] * stats.iterations
+    assert stats.thresholds == [800.0] * len(stats.solver_times)
     # The first abstract attempt is smaller than the network itself.
     assert stats.abstract_hidden_sizes[0] == [1]
 
@@ -104,8 +104,8 @@ def test_stats_shape_and_monotone_sizes():
         q = random_query(rng, net=random_oracle_network(rng), nonneg=True)
         v, stats = verify(q, "cegarette")
         assert len(stats.abstract_hidden_sizes) == stats.iterations
-        assert len(stats.thresholds) == stats.iterations
         assert len(stats.solver_times) == stats.iterations - stats.resplits
+        assert len(stats.thresholds) == len(stats.solver_times)
         totals = [sum(sz) for sz in stats.abstract_hidden_sizes]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
@@ -200,17 +200,23 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps, 
     # The original network never changes during a run, so its root bound is
     # computed once per call, not once per iteration; a second call on the
     # same Query computes it again.  The first abstract network is bounded
-    # in full, once, for the gap.  Each later one, solved or split again
-    # at the kept point, shares layers 0..L-1 with the network it was split
-    # from at layer L, and its gap reuses that one's kept layers, so it
-    # takes one affine step per layer from L on.
-    # ``solve``'s root, its one ``sbt`` call without phases, reuses the
-    # bound and takes no affine step; its child nodes are bounded in
-    # batches, with phases, from the input.
+    # in full, once, for the gap.  A later network is bounded only when its
+    # kept point does not settle its re-split check; it shares layers
+    # 0..L-1 with the last bounded network when the splits since that one
+    # were at layers L or above, and its gap reuses that one's kept layers,
+    # so it takes one affine step per layer from the lowest of those splits
+    # on.  The corner that settles the checks is read from the kept bound
+    # and takes no affine step.  ``solve``'s root, its one ``sbt`` call
+    # without phases, reuses the bound and takes no affine step; its child
+    # nodes are bounded in batches, with phases, from the input.
     rng = np.random.default_rng(9)
-    q = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
-    solved, root_steps = [], []
-    real_solve, real_sbt = loop.solve, solver.sbt
+    pinned = random_query(rng, net=random_network(rng, n_layers=2, max_width=5))
+    rng = np.random.default_rng(14)
+    queries = [pinned]
+    for _ in range(4):
+        queries.append(random_query(rng, net=random_network(rng, n_layers=int(rng.integers(2, 4)), max_width=5)))
+    solved, root_steps, bounded = [], [], []
+    real_solve, real_sbt, real_tighten = loop.solve, solver.sbt, loop.tighten_property
 
     def recording_solve(query, **kwargs):
         solved.append((query.network, len(affine_steps)))
@@ -225,25 +231,41 @@ def test_cegarette_bounds_each_network_once_per_call(monkeypatch, affine_steps, 
             root_steps.append(len(affine_steps) - before)
         return result
 
+    def recording_tighten(abstract, *args):
+        bounded.append(abstract)
+        return real_tighten(abstract, *args)
+
     monkeypatch.setattr(loop, "solve", recording_solve)
     monkeypatch.setattr(solver, "sbt", recording_sbt)
-    for _ in range(2):
-        affine_steps.clear()
-        solved.clear()
-        root_steps.clear()
-        abstraction_states.clear()
-        v, stats = verify(q, "cegarette")
-        assert v.status is Status.UNSAT and stats.iterations == 13 and stats.resplits > 0
-        assert len(solved) == stats.iterations - stats.resplits
-        assert root_steps == [0] * len(solved)
-        inside = {i for _, start, end in solved for i in range(start, end)}
-        outside = [layer for i, layer in enumerate(affine_steps) if i not in inside]
-        nets = [state.network for state in abstraction_states]
-        expected = [*nets[0].layers, *q.network.layers]
-        for net, (L, _) in zip(nets[1:], stats.splits):
-            expected += net.layers[L:]
-        assert len(outside) == len(expected) and all(a is b for a, b in zip(outside, expected))
-        assert any(L > 0 for L, _ in stats.splits)
+    monkeypatch.setattr(loop, "tighten_property", recording_tighten)
+    seen = set()
+    for q in queries:
+        for _ in range(2):
+            affine_steps.clear()
+            solved.clear()
+            root_steps.clear()
+            bounded.clear()
+            abstraction_states.clear()
+            v, stats = verify(q, "cegarette")
+            if q is pinned:
+                assert v.status is Status.UNSAT and stats.iterations == 13 and stats.settled_resplits > 0
+            assert len(solved) == stats.iterations - stats.resplits
+            assert root_steps == [0] * len(solved)
+            inside = {i for _, start, end in solved for i in range(start, end)}
+            outside = [layer for i, layer in enumerate(affine_steps) if i not in inside]
+            nets = [state.network for state in abstraction_states]
+            assert len(bounded) == stats.iterations - stats.settled_resplits
+            expected, lowest = [*q.network.layers, *nets[0].layers], len(q.network.layers)
+            for net, (L, _) in zip(nets[1:], stats.splits):
+                lowest = min(lowest, L)
+                if id(net) in {id(b) for b in bounded}:
+                    expected += net.layers[lowest:]
+                    seen.add("from a split" if lowest == L else "from an earlier split")
+                    if lowest > 0:
+                        seen.add("above layer 0")
+                    lowest = len(net.layers)
+            assert len(outside) == len(expected) and all(a is b for a, b in zip(outside, expected))
+    assert seen == {"from a split", "from an earlier split", "above layer 0"}
 
 
 def _record_solves_and_splits(monkeypatch) -> list:
@@ -270,33 +292,35 @@ def test_each_network_is_checked_against_its_own_threshold(monkeypatch):
     # against the threshold tightened for the network before it answered
     # UNSAT on queries 133, 143, 314 and 381, which are SAT.  Every
     # ``cegarette`` solve must use the threshold tightened for the network
-    # it solves, and every re-split point (a split with no solve since the
-    # last one) must reach its iteration's threshold + EPSILON on the
-    # network it splits, that threshold being tightened for that network.
+    # it solves, which ``RunStats.thresholds`` records, and every re-split
+    # point (a split with no solve since the last one) must reach the
+    # threshold tightened for the network it splits + EPSILON, whether the
+    # loop bounded that network or the point settled the check.
     rng = np.random.default_rng(20240817)
     queries = [random_query(rng, net=random_oracle_network(rng)) for _ in range(500)]
     events = _record_solves_and_splits(monkeypatch)
-    resplits = 0
+    resplits = settled = 0
     for i, q in enumerate(queries):
         events.clear()
         v, stats = verify(q, "cegarette")
         if i in (133, 143, 314, 381):
             assert v.status is Status.SAT and oracle_verdict(q) == "SAT", i
-        iteration, run_resplits = 0, 0  # the iteration whose network is next solved or split
+        thresholds, run_resplits = [], 0
         for previous, event in zip([("solve",), *events], events):
             if event[0] == "solve":
                 network, threshold = event[1].network, event[1].output.threshold
-            else:
-                network, threshold = event[1], stats.thresholds[iteration]
-                iteration += 1
-                if previous[0] == "solve":
-                    continue
+                thresholds.append(threshold)
+                assert threshold == bounds.tighten_property(network, q.network, q.input, q.output).threshold, i
+            elif previous[0] == "split":
                 run_resplits += 1
+                network = event[1]
+                threshold = bounds.tighten_property(network, q.network, q.input, q.output).threshold
                 assert evaluate(network, event[2])[0] >= threshold + solver.EPSILON, i
-            assert threshold == bounds.tighten_property(network, q.network, q.input, q.output).threshold, i
-        assert run_resplits == stats.resplits, i
+        assert thresholds == stats.thresholds, i
+        assert run_resplits == stats.resplits >= stats.settled_resplits, i
         resplits += run_resplits
-    assert resplits > 50
+        settled += stats.settled_resplits
+    assert resplits > 50 and settled > 0
 
 
 def test_timeout_inside_a_re_split_chain(monkeypatch):
