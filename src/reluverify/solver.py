@@ -75,12 +75,27 @@ go in node order to the leaf rule, ``_leaf_witness``, and its
 is checked before the presolve and before every survivor's LP, the root
 leaf's included.
 
-The branch neuron is the unknown one with the widest pre-activation
-interval, the first in layer order, then in index order, on ties.  Its
-twin class is computed the first time a ``solve`` branches on it and
-then kept for that ``solve``.  A child copies only its branch layer's
-phase array and shares the others with its parent, which is safe because
-no code changes a phase array in place.
+The branch neuron is the unknown one whose relaxation most raises the
+node's output upper bound, the bound the prune reads.  The score is
+BaBSR's (Bunel et al., "Branch and Bound for Piecewise Linear Neural
+Network Verification", JMLR 2020) carried over to SBT's constant
+relaxation, whose only term for an unknown neuron j is the upper constant
+``phi_j`` it gives the neuron: ``|alpha_j| * phi_j``, with ``alpha_j`` the
+derivative of the output's upper constant with respect to that constant
+under the node's modes (``_branch_neuron``).  A neuron that reaches the
+output only through lower constants, inactive neurons or zero weights has
+``alpha_j = 0``: its relaxation adds nothing to the bound, however wide
+its interval.  Ties go to the first in layer order, then in index
+order.  The choice changes the tree, not the verdict: any unknown neuron
+splits the node's region into its two phases, and the search ends only
+when every node is closed or a leaf, so UNSAT still comes only from the
+complete search.  A node's score reads only its own arrays, each
+multiplied as ``sbt`` multiplies them, so a node branches on the same
+neuron in any batch.  The branch neuron's twin class is computed the
+first time a ``solve`` branches on it and then kept for that ``solve``.
+A child copies only its branch layer's phase array and shares the others
+with its parent, which is safe because no code changes a phase array in
+place.
 
 Before the root branches, ``_falsify`` looks for a SAT witness by
 sampling.  It runs once per ``solve``, at a root that is not a leaf,
@@ -303,21 +318,41 @@ def _falsify(net: Network, box: InputBox, c: float):
         step = 0.5 * step
 
 
-def _widest_unknown(relu_modes, bm):
-    """The unknown neuron with the widest pre-activation interval, as an
+def _branch_neuron(net: Network, relu_modes, bm):
+    """The unknown neuron with the highest score ``|alpha_j| * phi_j``, as an
     index into the hidden neurons in layer order, or -1 if there is none;
     ties go to the first in layer order, then in index order.
 
+    ``alpha_j`` is the derivative of SBT's output upper constant with
+    respect to neuron j's post-activation upper constant under the node's
+    modes, from one backward pass over the weight parts: ``(a, b)``, the
+    weights on the upper and lower constants, start at ``(1, 0)`` at the
+    output; through a layer ``alpha = a @ Wp + b @ Wn`` and
+    ``beta = a @ Wn + b @ Wp`` (through the output layer, its one row's
+    ``Wp`` and ``Wn``); then an active neuron passes ``(alpha, beta)``, an
+    unknown one ``(alpha, 0)`` and an inactive one ``(0, 0)``.  So ``a``
+    stays at least 0 and ``b`` at most 0, ``alpha`` is never negative, and
+    the score is ``alpha * phi``.
+
     The neuron axis trails and any node axes lead: one node's modes give
     a 0-d result, a batch's ``(K, n_k)`` modes give one index per node.
+    Each vector is multiplied as a one-row matrix, as ``sbt`` multiplies
+    its constants, so a node's score does not depend on the batch.
     """
     if not relu_modes:
         return np.int64(-1)
-    widths = np.concatenate(
-        [np.where(mode == UNKNOWN, phi - plo, -np.inf) for mode, (plo, phi) in zip(relu_modes, bm.pre)],
-        axis=-1,
-    )
-    return np.where(widths.max(axis=-1) == -np.inf, -1, widths.argmax(axis=-1))
+    Wp, Wn = net.layers[-1].weight_parts
+    alpha, beta, scores = Wp[0], Wn[0], []
+    for k in reversed(range(len(relu_modes))):
+        mode = relu_modes[k]
+        scores.insert(0, np.where(mode == UNKNOWN, alpha * bm.pre[k][1], -np.inf))
+        if k:
+            a = np.where(mode == INACTIVE, 0.0, alpha)[..., None, :]
+            b = np.where(mode == ACTIVE, beta, 0.0)[..., None, :]
+            Wp, Wn = net.layers[k].weight_parts
+            alpha, beta = (a @ Wp + b @ Wn)[..., 0, :], (a @ Wn + b @ Wp)[..., 0, :]
+    scores = np.concatenate(scores, axis=-1)
+    return np.where(scores.max(axis=-1) == -np.inf, -1, scores.argmax(axis=-1))
 
 
 def solve(query: Query, timeout: float | None = None) -> Verdict:
@@ -387,7 +422,7 @@ def solve(query: Query, timeout: float | None = None) -> Verdict:
         closed = bm.pre[-1][1][:, 0] <= c
         for ph, (plo, phi) in zip(phases, bm.pre):
             closed |= np.any(((ph == ACTIVE) & (phi < 0)) | ((ph == INACTIVE) & (plo > 0)), axis=1)
-        branches = _widest_unknown(relu_modes, bm)
+        branches = _branch_neuron(net, relu_modes, bm)
 
         pushed = []
         for n in np.flatnonzero(~closed & (branches >= 0)):

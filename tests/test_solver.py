@@ -10,6 +10,7 @@ from reluverify import (
     Network,
     OutputProperty,
     Query,
+    RobustnessSpec,
     Status,
     abstract_to_saturation,
     evaluate,
@@ -18,9 +19,11 @@ from reluverify import (
     load_network,
     load_query,
     preprocess,
+    reduce_to_single_output,
+    sbt,
     solve,
 )
-from reluverify import simplex, solver
+from reluverify import harness, simplex, solver
 from reluverify.bounds import BoundsMap
 from reluverify.harness import _gen_oracle_query
 from reluverify.simplex import SimplexError, feasible_point
@@ -28,10 +31,10 @@ from reluverify.solver import (
     EPSILON,
     RETRY_TOLERANCES,
     SolverError,
+    _branch_neuron,
     _first_leaf_witness,
     _leaf_rows,
     _leaf_witness,
-    _widest_unknown,
     first_feasible_completion,
 )
 
@@ -401,11 +404,12 @@ def test_each_leaf_lp_is_presolved_once(monkeypatch):
 
 def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypatch):
     # Every leaf solve gives to a leaf LP's row build on the oracle-small
-    # queries and their split networks, refuted by the presolve or not: the
-    # LP with rows for the branch-fixed neurons only is feasible exactly
-    # when the LP with a row for every neuron is, and each point it returns
-    # satisfies every row.  The root falsifier is off, so that the search
-    # itself reaches the feasible leaves of the SAT queries.
+    # queries, seeded 2-hidden-layer networks and their split networks,
+    # refuted by the presolve or not: the LP with rows for the branch-fixed
+    # neurons only is feasible exactly when the LP with a row for every
+    # neuron is, and each point it returns satisfies every row.  The root
+    # falsifier is off, so that the search itself reaches the feasible
+    # leaves of the SAT queries.
     leaves, box = [], None
     real = solver._leaf_rows
     monkeypatch.setattr(solver, "_falsify", lambda net, box, c: None)
@@ -416,6 +420,8 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
         return A, b, keep
 
     queries = oracle_queries_and_split_twins(tmp_path)
+    for q in _two_hidden_layer_queries():
+        queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
     monkeypatch.setattr(solver, "_leaf_rows", recording)
     for q in queries:
         box = q.input
@@ -434,63 +440,71 @@ def test_leaf_lp_over_branch_fixed_rows_agrees_with_all_rows(tmp_path, monkeypat
     assert feasible > 20 and len(leaves) - feasible > 20 and dropped > 0
 
 
-def _loop_widest_unknown(relu_modes, bm):
-    """Per-neuron reference for ``_widest_unknown``: the first strictly
-    widest unknown neuron, in layer order, then index order, as an index
-    into the hidden neurons in layer order, or -1."""
-    branch, widest, offset = -1, -np.inf, 0
-    for k, mode in enumerate(relu_modes):
-        plo, phi = bm.pre[k]
-        for i in np.flatnonzero(mode == 0):
-            width = phi[i] - plo[i]
-            if width > widest:
-                widest, branch = width, offset + int(i)
-        offset += mode.size
-    return branch
+def _loop_scores(net, relu_modes, bm):
+    """Per-neuron reference for ``_branch_neuron``'s scores on one node: the
+    backward pass one neuron at a time, then ``|alpha_j| * phi_j`` for each
+    hidden neuron in layer order, None for one that is not unknown."""
+    a, b, scores = [1.0], [0.0], []
+    for layer, mode, (_, phi) in reversed(list(zip(net.layers[1:], relu_modes, bm.pre))):
+        W = layer.weights
+        alpha = [sum(a[i] * max(W[i, j], 0.0) + b[i] * min(W[i, j], 0.0) for i in range(len(a))) for j in range(W.shape[1])]
+        beta = [sum(a[i] * min(W[i, j], 0.0) + b[i] * max(W[i, j], 0.0) for i in range(len(a))) for j in range(W.shape[1])]
+        scores = [abs(alpha[j]) * phi[j] if mode[j] == 0 else None for j in range(len(mode))] + scores
+        a = [0.0 if mode[j] == -1 else alpha[j] for j in range(len(mode))]
+        b = [beta[j] if mode[j] == 1 else 0.0 for j in range(len(mode))]
+    return scores
 
 
-def test_widest_unknown_matches_loop_reference():
-    # Widths drawn from a few values make exact ties common; a share of the
-    # nodes has no unknown neuron, and some have no hidden layer at all.
-    # Each draw is a batch of K nodes with (K, n_k) modes and intervals,
-    # except layer 0's intervals, which are shared as in a batched ``sbt``;
-    # every node's index must be the reference's, batched and alone.
+def test_branch_neuron_matches_loop_reference():
+    # Weights and upper bounds drawn from a few dyadic values keep every
+    # score exact, so exact ties are common, and zero weights and inactive
+    # neurons give unknown neurons a zero alpha; a share of the nodes has no
+    # unknown neuron, and some networks have no hidden layer at all.  Each
+    # draw is a batch of K nodes with (K, n_k) modes and intervals, except
+    # layer 0's intervals, which are shared as in a batched ``sbt``.  Every
+    # node's index, batched and alone, must be the reference's first
+    # strictly highest score, or -1.
     rng = np.random.default_rng(75)
-    ties = nones = 0
+    ties = nones = zero_alpha = flat = 0
     for _ in range(400):
-        sizes = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(0, 4)))]
+        sizes = [int(rng.integers(1, 4))] + [int(rng.integers(1, 7)) for _ in range(int(rng.integers(0, 4)))] + [1]
+        net = Network(
+            [
+                Layer(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(m, n)), np.zeros(m), k < len(sizes) - 2)
+                for k, (n, m) in enumerate(zip(sizes, sizes[1:]))
+            ],
+            sizes[0],
+        )
+        flat += not net.hidden_sizes
         K = int(rng.integers(1, 5))
         p_unknown = rng.choice([0.0, 0.2, 0.6])
         modes, pre = [], []
-        for k, m in enumerate(sizes):
+        for k, m in enumerate(net.hidden_sizes):
             shape = (m,) if k == 0 else (K, m)
             modes.append(np.where(rng.random((K, m)) < p_unknown, 0, rng.choice([-1, 1], size=(K, m))).astype(np.int8))
-            plo = rng.choice([-1.0, -0.5, -0.25], size=shape)
-            pre.append((plo, plo + rng.choice([0.5, 1.0, 1.5], size=shape)))
-        batched = _widest_unknown(tuple(modes), BoundsMap(tuple(pre)))
+            pre.append((-np.ones(shape), rng.choice([0.25, 0.5, 1.0], size=shape)))
+        pre.append((np.zeros((K, 1)), np.ones((K, 1))))
+        batched = _branch_neuron(net, tuple(modes), BoundsMap(tuple(pre)))
         for n in range(K):
             node_modes = tuple(mode[n] for mode in modes)
-            node_pre = tuple((plo, phi) if k == 0 else (plo[n], phi[n]) for k, (plo, phi) in enumerate(pre))
-            node_pre += ((np.zeros(1), np.ones(1)),)
-            bm = BoundsMap(node_pre)
-            expected = _loop_widest_unknown(node_modes, bm)
-            assert _widest_unknown(node_modes, bm) == expected
-            if sizes:
+            bm = BoundsMap(tuple((plo, phi) if k == 0 else (plo[n], phi[n]) for k, (plo, phi) in enumerate(pre)))
+            scores = _loop_scores(net, node_modes, bm)
+            known = [s for s in scores if s is not None]
+            expected = scores.index(max(known)) if known else -1
+            assert _branch_neuron(net, node_modes, bm) == expected
+            if net.hidden_sizes:
                 assert batched.shape == (K,) and batched[n] == expected
-            if expected < 0:
-                nones += 1
-            else:
-                widths = np.concatenate([phi - plo for plo, phi in node_pre[:-1]])
-                unknown = np.concatenate(node_modes) == 0
-                ties += int(np.sum(widths[unknown] == widths[expected]) > 1)
-    assert ties > 50 and nones > 50
+            nones += not known
+            ties += known.count(max(known, default=None)) > 1
+            zero_alpha += 0.0 in known
+    assert ties > 50 and nones > 50 and zero_alpha > 50 and flat > 20
 
 
 def _two_hidden_layer_queries():
-    """20 seeded queries on random networks with two hidden layers of 4 to
+    """40 seeded queries on random networks with two hidden layers of 4 to
     8 neurons; some of their searches pop several batches."""
     rng = np.random.default_rng(76)
-    for _ in range(20):
+    for _ in range(40):
         n_in = int(rng.integers(1, 4))
         sizes = [n_in, int(rng.integers(4, 9)), int(rng.integers(4, 9)), 1]
         layers = [
@@ -500,14 +514,88 @@ def _two_hidden_layer_queries():
         yield random_query(rng, net=Network(layers, n_in))
 
 
+def _past_radius_queries():
+    """12 seeded robustness queries at 1.2-3x the SBT-certified radius,
+    reduced to single outputs, on networks from ``harness``'s generator with
+    two hidden layers of 4 to 8 neurons, as in the ``beyond-radius``
+    benchmark suite: the root bound does not decide them, so ``solve``
+    branches."""
+    rng = np.random.default_rng(0)
+    queries = []
+    while len(queries) < 12:
+        n_in, n_out = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        widths = [int(rng.integers(4, 9)) for _ in range(2)]
+        domain = (np.zeros(n_in), np.ones(n_in))
+        net = harness._random_network(rng, n_in, widths, n_out, scale="normal", domain=domain)
+        center = rng.uniform(0.1, 0.9, size=n_in)
+        label = int(np.argmax(evaluate(net, center)))
+        radius = harness._certified_radius(net, center, label)
+        if radius is not None:
+            spec = RobustnessSpec(net, center, float(rng.uniform(1.2, 3.0)) * radius, label)
+            queries += reduce_to_single_output(spec)
+    return queries[:12]
+
+
+def _widest_unknown(net, relu_modes, bm):
+    """The branch rule the score replaced: the unknown neuron with the
+    widest pre-activation interval, the first in layer order, then index
+    order, on ties, or -1; with ``_branch_neuron``'s signature and shapes."""
+    if not relu_modes:
+        return np.int64(-1)
+    widths = np.concatenate(
+        [np.where(mode == 0, phi - plo, -np.inf) for mode, (plo, phi) in zip(relu_modes, bm.pre)], axis=-1
+    )
+    return np.where(widths.max(axis=-1) == -np.inf, -1, widths.argmax(axis=-1))
+
+
+def test_branch_score_passes_over_a_wide_neuron_the_bound_ignores(monkeypatch):
+    # On x in [-1, 1], A = relu(2x), B = relu(x) and E = relu(-x) are
+    # unknown, and A's interval is the widest.  A reaches the output only
+    # through C = relu(A + 3), stably active, whose output weight is -1:
+    # SBT's output upper bound reads C's lower constant, and A's relaxation
+    # adds nothing to it, so alpha_A = 0.  y = relu(B + E) - C = -x - 3 is at
+    # most -2, while the root bound is -1, so c = -1.5 is UNSAT only after a
+    # search.  The score branches on B (tied with E, and first), and the
+    # widest-interval rule on A.
+    net = Network(
+        [
+            Layer([[2.0], [1.0], [-1.0]], [0.0, 0.0, 0.0], True),
+            Layer([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]], [0.0, 3.0], True),
+            Layer([[1.0, -1.0]], [0.0], False),
+        ],
+        1,
+    )
+    q = Query(net, InputBox([-1.0], [1.0]), OutputProperty(-1.5))
+    modes, bm = sbt(net, q.input)
+    assert [m.tolist() for m in modes] == [[0, 0, 0], [1, 1]] and bm.output_interval[1] == -1.0
+    assert _branch_neuron(net, modes, bm) == 1 and _widest_unknown(net, modes, bm) == 0
+    v = solve(q)
+    assert v.status is Status.UNSAT and v.nodes == 7
+    monkeypatch.setattr(solver, "_branch_neuron", _widest_unknown)
+    w = solve(q)
+    assert w.status is Status.UNSAT and w.nodes == 21
+
+
+def test_branch_score_needs_fewer_nodes_than_the_widest_interval_past_the_radius(monkeypatch):
+    # Past the certified radius the search decides, and there the score
+    # closes the same verdicts in fewer nodes than the widest-interval rule.
+    queries = _past_radius_queries()
+    runs = [solve(q, timeout=60.0) for q in queries]
+    monkeypatch.setattr(solver, "_branch_neuron", _widest_unknown)
+    widest = [solve(q, timeout=60.0) for q in queries]
+    assert [v.status for v in runs] == [w.status for w in widest]
+    assert Status.TIMEOUT not in [v.status for v in runs] and Status.SAT in [v.status for v in runs]
+    assert sum(v.nodes for v in runs) < sum(w.nodes for w in widest)
+
+
 def test_batched_search_equals_one_node_search(tmp_path, monkeypatch):
     # A node's bound depends only on its phases, and a batched ``sbt`` call
     # gives every node the arrays of a one-node call, so ``BATCH = 1`` must
     # reach the same verdicts, and on every UNSAT query the same node count,
-    # on the oracle-small queries, their split networks and seeded
-    # 2-hidden-layer networks.
+    # on the oracle-small queries, seeded 2-hidden-layer networks and queries
+    # past the certified radius, each with its split network.
     queries = oracle_queries_and_split_twins(tmp_path)
-    for q in _two_hidden_layer_queries():
+    for q in itertools.chain(_two_hidden_layer_queries(), _past_radius_queries()):
         queries += [q, Query(preprocess(q.network).network, q.input, q.output)]
 
     real, batched = solver.sbt, []
@@ -562,7 +650,7 @@ def test_no_leaf_lp_starts_after_the_deadline(monkeypatch):
     # presolve is made to refute none of them, so each gets its own LP; the
     # limit is checked before every one, so no leaf starts at or past it, and
     # the query times out inside its one batch.
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(61)
     net = random_network(rng, n_inputs=2, n_layers=1, max_width=8)
     box = InputBox([-1.0, -1.0], [1.0, 1.0])
     c = float(forward_batch(net, rng.uniform(-1.0, 1.0, size=(20000, 2)))[:, 0].max()) + 0.05
