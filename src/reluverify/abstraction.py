@@ -16,15 +16,16 @@ order of the splits does not matter and a fully-refined state reproduces
 the categorized network bit-exactly.  ``_make_state`` derives it from
 scratch (for saturation, and as the reference in the tests);
 ``refine_split`` re-derives only what a split touches, the split layer's
-two new rows and the next layer's two new columns, with the same
-expressions, and shares every other row, column and layer with its parent.
+two new rows and the next layer's two new columns, with ``_collapse`` and
+``_sum_columns``, and shares every other row, column and layer with its parent.
 
 Both derivations work on whole layers in numpy, not group by group: a
 layer's groups are kept as an ``Order`` (its members in group order, each
-group's size and offset, each member's group), the per-group max and min
-are one ``reduceat`` over the rows permuted by group, and the column sums
-gather all groups of one size at once.  Each result is bit-identical to
-the per-group expression, which the tests keep as the reference.
+group's size and offset, each member's group), and the per-group max, min
+and sum are each one ``reduceat`` over the rows or columns permuted by
+group.  ``reduceat`` adds a group as its first column plus numpy's pairwise
+sum of the rest, whatever the group's place or the array's memory layout, so
+a split's two columns, summed alone, equal a whole layer's sums bit for bit.
 
 A state keeps each layer's ``Order`` (``groups`` is derived from them when
 read), its ``excess``, and each layer's rows collapsed but not yet summed
@@ -108,18 +109,12 @@ def _collapse(base: CategorizedNetwork, k: int, order: Order):
 
 
 def _sum_columns(W: np.ndarray, order: Order) -> np.ndarray:
-    """Columns of ``W`` summed within each source group of ``order`` (a
-    ``_layer_order``), bit-identical to ``W[:, group].sum(axis=1)`` per
-    group.  The order numpy adds in depends on the gathered array's length
-    and memory layout, and one fancy index per group size, summed over its
-    last axis, keeps both; ``np.add.reduceat`` and a sum over a sliced view
-    do not."""
-    members, sizes, starts, _ = order
-    out = np.empty((W.shape[0], sizes.size))
-    for size in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == size)
-        out[:, at] = W[:, members[starts[at, None] + np.arange(size)]].sum(axis=2)
-    return out
+    """Columns of ``W`` summed within each source group of ``order``.
+    ``reduceat`` adds each group as its first column plus numpy's pairwise
+    sum of the rest, whatever the group's place in the order or ``W``'s
+    memory layout, so a group summed alone equals its column of a whole
+    layer's sums bit for bit."""
+    return np.add.reduceat(W[:, order.members], order.starts, axis=1)
 
 
 def _canonical(layer_groups) -> tuple[tuple[int, ...], ...]:
@@ -273,12 +268,7 @@ def refine_split(state: AbstractionState, x0) -> AbstractionState:
         rows = _sum_columns(rows, orders[L - 1])
     W, b = np.concatenate([layers[L].weights, rows]), np.concatenate([layers[L].biases, biases])
     layers[L] = _trusted_layer(W.take(order, axis=0), b.take(order), relu=True)
-    # The split's two columns, each summed over a fresh gather, which adds in
-    # the order _sum_columns would (a sum over a view adds in another); calling
-    # _sum_columns(C, split) here took 20 us a split against these 7 us.
-    C = collapsed[L + 1]
-    new = [C[:, [member]].sum(axis=1, keepdims=True), C[:, split.members[1:]].sum(axis=1, keepdims=True)]
-    W = np.concatenate([layers[L + 1].weights, *new], axis=1)
+    W = np.concatenate([layers[L + 1].weights, _sum_columns(collapsed[L + 1], split)], axis=1)
     layers[L + 1] = _trusted_layer(W.take(order, axis=1), layers[L + 1].biases, relu=layers[L + 1].relu)
     network = _trusted_network(tuple(layers), state.network)
 

@@ -35,6 +35,9 @@ def _as_floats(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         got = {"b": "booleans", "U": "strings"}.get(arr.dtype.kind, f"{arr.dtype} entries")
         raise ValidationError(f"{name}: expected numbers, got {got}")
+    # A list that mixes booleans with numbers converts to numbers: its elements are read.
+    if not isinstance(values, np.ndarray) and bool in map(type, np.array(values, dtype=object).flat):
+        raise ValidationError(f"{name}: expected numbers, got booleans")
     return arr.astype(np.float64, copy=False)
 
 

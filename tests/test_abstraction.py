@@ -251,8 +251,9 @@ def _loop_collapse(base, k, layer_groups, cols=slice(None)):
 
 
 def _loop_sum_columns(W, source_groups):
-    """Per-group reference for ``_sum_columns``."""
-    return np.stack([W[:, list(h)].sum(axis=1) for h in source_groups], axis=1)
+    """Per-group reference for ``_sum_columns``: each group summed alone, one
+    reduction over only its own columns, in member order."""
+    return np.hstack([np.add.reduceat(W[:, list(h)], [0], axis=1) for h in source_groups])
 
 
 def _random_partition(rng, n):
@@ -314,9 +315,12 @@ def test_split_choice_matches_loop_reference():
 
 def test_collapse_and_column_sums_match_loop_references():
     # Random partitions of every layer (singletons, groups of 8 or more,
-    # which numpy sums pairwise in blocks of 8 when the gather has one row,
-    # and groups of inc and of dec neurons), with and without a column
-    # subset, bit for bit.
+    # which numpy sums pairwise in blocks of 8, and groups of inc and of
+    # dec neurons), with and without a column subset, bit for bit.  The
+    # column sums are also taken over a Fortran-ordered and a
+    # non-contiguous copy of the weights: a split splices groups summed
+    # alone into a whole layer's sums, so neither a group's place in the
+    # order nor the array's layout may change how it is added.
     rng = np.random.default_rng(37)
     directions, sizes = set(), set()
     for trial in range(150):
@@ -336,8 +340,10 @@ def test_collapse_and_column_sums_match_loop_references():
                 W_ref, b_ref = _loop_collapse(base, k, groups, cols)
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes(), trial
             after = base.network.layers[k + 1].weights
-            got = _sum_columns(after, _layer_order(groups))
-            assert got.tobytes() == _loop_sum_columns(after, groups).tobytes(), trial
+            strided = np.repeat(after, 2, axis=1)[:, ::2]
+            for W in (after, np.asfortranarray(after), strided):
+                got = _sum_columns(W, _layer_order(groups))
+                assert got.tobytes() == _loop_sum_columns(W, groups).tobytes(), trial
     assert directions == {"inc", "dec"}
     assert 1 in sizes and max(sizes) >= 16
 

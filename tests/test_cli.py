@@ -152,6 +152,26 @@ def test_errors_building_network_or_query_name_the_file(query_files, capsys, whi
     assert capsys.readouterr().err.startswith(f"reluverify: {path}: ")
 
 
+_MIXED_BOOLEANS = [
+    pytest.param(0, lambda doc: doc["layers"][0].update(weights=[[True], [1.5]]), "layer 0: weights", id="weights"),
+    pytest.param(1, lambda doc: doc.update(input_lower=[0.0, False], input_upper=[1.0, 1.0]), "input lower", id="bound"),
+]
+
+
+@pytest.mark.parametrize("which, edit, field", _MIXED_BOOLEANS)
+def test_booleans_among_numbers_exit_1_naming_the_field(query_files, capsys, which, edit, field):
+    # numpy reads booleans among numbers as numbers: true as 1.0, false as 0.0.
+    path = query_files[which]
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    net, prop = query_files
+    assert main(["verify", "--net", net, "--prop", prop]) == 1
+    assert capsys.readouterr().err == f"reluverify: {path}: {field}: expected numbers, got booleans\n"
+
+
 def test_out_reports_sampled_counterexamples(tmp_path):
     # y = 0.5 - |x - 0.3| on [-1, 1] with c = 0.4: the root is unstable,
     # and its corner x = -1 (every unknown neuron counted inactive) misses

@@ -57,6 +57,23 @@ def test_network_validation():
         Layer([[1.0]], [np.nan], False)
 
 
+def test_booleans_among_numbers_are_rejected():
+    # numpy reads a list mixing booleans with numbers as numbers: true as
+    # 1.0, false as 0.0.  Each field names itself.
+    for make, field in (
+        (lambda: Layer([[True, 1.5]], [0.0], relu=False), "weights"),
+        (lambda: Layer([[1.0], [2.0]], [0.5, False], relu=True), "biases"),
+        (lambda: InputBox([0.0, False], [1.0, 1.0]), "input lower"),
+        (lambda: InputBox([0.0, 0.0], [1, True]), "input upper"),
+        (lambda: Network([Layer([[1.0, 1.0]], [0.0], False)], 2, domain=([0.0, False], [1.0, 1.0])), "domain lower"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{field}: expected numbers, got booleans$"):
+            make()
+    # Numbers of either kind, and float arrays, still load.
+    assert InputBox([0, 0.5], (1, 2.0)).lower.tolist() == [0.0, 0.5]
+    assert Layer(np.eye(2), np.zeros(2), relu=True).weights.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_layers_are_immutable(net121):
     with pytest.raises(ValueError):
         net121.layers[0].weights[0, 0] = 5.0
